@@ -22,7 +22,7 @@ __all__ = [
     "add",
     "mul",
     "scale",
-    "softmax",
+    "attention",
     "layer_norm",
     "gelu",
     "tanh",
@@ -155,14 +155,20 @@ def _accum(t, g):
 
 
 def matmul(a, b):
-    """2-D matrix product."""
+    """2-D matrix product; each output row's bits depend only on its own row of a."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    out_data = a.data @ b.data
+    if a.shape[0] == 1:
+        # numpy sends a one-row product to gemv, which rounds unlike gemm
+        out_data = (np.concatenate([a.data, a.data]) @ b.data)[:1]
+    else:
+        out_data = a.data @ b.data
 
     def grad_fn(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        if a.requires_grad:
+            _accum(a, g @ b.data.T)
+        if b.requires_grad:
+            _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), grad_fn)
 
@@ -190,7 +196,8 @@ def add(a, b):
 
     def grad_fn(g):
         _accum(a, g)
-        _accum(b, g.sum(axis=0) if broadcast else g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0) if broadcast else g)
 
     return _node(out_data, (a, b), grad_fn)
 
@@ -202,8 +209,10 @@ def mul(a, b):
     out_data = a.data * b.data
 
     def grad_fn(g):
-        _accum(a, g * b.data)
-        _accum(b, g * a.data)
+        if a.requires_grad:
+            _accum(a, g * b.data)
+        if b.requires_grad:
+            _accum(b, g * a.data)
 
     return _node(out_data, (a, b), grad_fn)
 
@@ -218,18 +227,73 @@ def scale(a, c):
     return _node(out_data, (a,), grad_fn)
 
 
-def softmax(a):
-    """Row-wise softmax along the last axis, max-subtracted for stability."""
-    x = a.data
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
+def attention(q, k, v, offsets, num_heads, prefix=None):
+    """Multi-head scaled dot-product attention over packed sequences.
+
+    q, k and v are (N, d); rows offsets[s]:offsets[s+1] are sequence s,
+    which attends to the l rows of the optional (keys, values) prefix that
+    all sequences share, then to its own rows. Heads are reshaped column
+    blocks. Each sequence runs alone, so its rows ignore the others.
+    """
+    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % num_heads:
+        raise ShapeError("attention", q.shape, k.shape, v.shape)
+    n, d = q.shape
+    offsets = np.asarray(offsets, dtype=np.int64)
+    if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
+        raise ValueError("attention: offsets must rise from 0 to the row count")
+    pk, pv = prefix if prefix is not None else (Tensor(np.zeros((0, d))),) * 2
+    if pk.shape != pv.shape or pk.shape[1:] != (d,):
+        raise ShapeError("attention", q.shape, pk.shape, pv.shape)
+    parents = (q, k, v, pk, pv)
+    h, dh, l = num_heads, d // num_heads, pk.shape[0]
+    c = 1.0 / math.sqrt(dh)
+
+    def heads(rows):  # (T, d) -> (h, T, dh)
+        return rows.reshape(len(rows), h, dh).transpose(1, 0, 2)
+
+    def merge(x):  # (h, T, dh) -> (T, d)
+        return x.transpose(1, 0, 2).reshape(x.shape[1], d)
+
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    keep = any(t.requires_grad for t in parents)
+    out_data = np.empty_like(q.data)
+    saved = []  # per sequence: q, k, v heads and the attention weights
+    for lo, hi in spans:
+        qh = heads(q.data[lo:hi])
+        kh = np.concatenate([heads(pk.data), heads(k.data[lo:hi])], axis=1)
+        vh = np.concatenate([heads(pv.data), heads(v.data[lo:hi])], axis=1)
+        s = (qh @ kh.transpose(0, 2, 1)) * c
+        e = np.exp(s - s.max(axis=-1, keepdims=True))
+        probs = e / e.sum(axis=-1, keepdims=True)
+        out_data[lo:hi] = merge(probs @ vh)
+        if keep:
+            saved.append((qh, kh, vh, probs))
 
     def grad_fn(g):
-        s = out_data
-        _accum(a, s * (g - (g * s).sum(axis=-1, keepdims=True)))
+        need_k = k.requires_grad or pk.requires_grad
+        need_v = v.requires_grad or pv.requires_grad
+        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        gpk, gpv = np.zeros((h, l, dh)), np.zeros((h, l, dh))
+        for (lo, hi), (qh, kh, vh, probs) in zip(spans, saved):
+            gh = heads(g[lo:hi])
+            if need_v:
+                dv = probs.transpose(0, 2, 1) @ gh
+                gpv += dv[:, :l]
+                gv[lo:hi] = merge(dv[:, l:])
+            if q.requires_grad or need_k:
+                dp = gh @ vh.transpose(0, 2, 1)
+                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * c
+                if q.requires_grad:
+                    gq[lo:hi] = merge(ds @ kh)
+                if need_k:
+                    dk = ds.transpose(0, 2, 1) @ qh
+                    gpk += dk[:, :l]
+                    gk[lo:hi] = merge(dk[:, l:])
+        # _accum skips frozen operands, whose buffers above were never filled
+        for t, gt in zip(parents, (gq, gk, gv, merge(gpk), merge(gpv))):
+            _accum(t, gt)
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, parents, grad_fn)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -243,12 +307,15 @@ def layer_norm(x, gain, bias, eps=1e-5):
     out_data = xhat * gain.data + bias.data
 
     def grad_fn(g):
-        d_xhat = g * gain.data
-        m = d_xhat.mean(axis=-1, keepdims=True)
-        mx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-        _accum(x, inv_std * (d_xhat - m - xhat * mx))
-        _accum(gain, (g * xhat).sum(axis=0))
-        _accum(bias, g.sum(axis=0))
+        if x.requires_grad:
+            d_xhat = g * gain.data
+            m = d_xhat.mean(axis=-1, keepdims=True)
+            mx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+            _accum(x, inv_std * (d_xhat - m - xhat * mx))
+        if gain.requires_grad:
+            _accum(gain, (g * xhat).sum(axis=0))
+        if bias.requires_grad:
+            _accum(bias, g.sum(axis=0))
 
     return _node(out_data, (x, gain, bias), grad_fn)
 
@@ -259,13 +326,21 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(a):
     """Gaussian error linear unit (tanh approximation)."""
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x**3)
-    t = np.tanh(inner)
-    out_data = 0.5 * x * (1.0 + t)
+    # products, not **: numpy's float power goes through libm pow (~70x
+    # slower); in-place steps save temporaries, and scaling by 0.5 is exact
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out_data = 1.0 + t
+    out_data *= x
+    out_data *= 0.5
 
     def grad_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * x**2)
-        deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+        deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         _accum(a, g * deriv)
 
     return _node(out_data, (a,), grad_fn)
@@ -275,7 +350,7 @@ def tanh(a):
     out_data = np.tanh(a.data)
 
     def grad_fn(g):
-        _accum(a, g * (1.0 - out_data**2))
+        _accum(a, g * (1.0 - out_data * out_data))
 
     return _node(out_data, (a,), grad_fn)
 

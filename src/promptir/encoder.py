@@ -9,6 +9,20 @@ solely from its own matrix.
 
 Sequence embeddings are the final-layer hidden state at position 0 (the
 [CLS] slot).
+
+Packed layout: one forward encodes a batch. The token rows of all
+sequences are stacked into one (sum T_i, d) matrix, with offsets marking
+where each starts, so every projection, layer norm and FFN runs once per
+layer; only autodiff.attention splits the rows by sequence. With no tape
+the same code is the inference path.
+
+Batch invariance: a sequence's rows are bitwise the same alone or anywhere
+in any batch (TestPackedForward in tests/test_encoder.py). Row-wise ops
+compute each row alone, and gemm rounds a row alike at any row count
+(matmul keeps one-row products off gemv). Padding would break this: masked
+key slots change how numpy's pairwise sum associates the softmax
+denominator. Search stays one index.vectors @ q per query for the same
+reason: a batched vectors @ Q.T rounds differently.
 """
 
 from __future__ import annotations
@@ -16,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 import struct
 from dataclasses import dataclass, asdict
 
@@ -24,7 +37,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .tokenizer import Vocabulary, SPECIALS, MASK_ID
+from .tokenizer import CLS_ID, MASK_ID, SPECIALS, Vocabulary
 
 CHECKPOINT_MAGIC = b"DPTE"
 CHECKPOINT_VERSION = 1
@@ -42,7 +55,7 @@ class EncoderConfig:
     prompt_length: int = 0
     reparam_mode: str = "direct_embedding"  # or "mlp"
     mlp_hidden: int = 0
-    dropout_rate: float = 0.0
+    dropout_rate: float = 0.0  # kept in checkpoints; the encoder applies no dropout
     pooling: str = "first_token"
 
     def __post_init__(self):
@@ -160,8 +173,8 @@ def prefix_kv(model, matrices):
     """Project realized prompt matrices through each layer's K/V weights.
 
     Returns one (keys, values) pair of l x d graph tensors per layer. The
-    same computation runs at prompt registration time in the serving
-    module, so both paths agree bitwise.
+    serving module runs the same projection once per registered prompt
+    set; tests/test_serving.py checks that served vectors equal encode().
     """
     p = model.params
     pairs = []
@@ -173,9 +186,15 @@ def prefix_kv(model, matrices):
     return pairs
 
 
-def _check_ids(model, token_ids):
-    from .tokenizer import CLS_ID
+def role_prefix(model, prompts, role):
+    """The per-layer prefix (K, V) pairs of a prompt set's role, or None."""
+    if prompts is None or prompts.prompt_length == 0:
+        return None
+    prompts.check_compatible(model.config)
+    return prefix_kv(model, prompts.realize(role))
 
+
+def _check_ids(model, token_ids):
     ids = list(token_ids)
     if not ids or ids[0] != CLS_ID:
         raise ValueError("token_ids must begin with [CLS]")
@@ -190,72 +209,66 @@ def _check_ids(model, token_ids):
     return ids
 
 
-def _dropout(x, rate, rng):
-    if rng is None or rate <= 0.0:
-        return x
-    mask = (rng.random(x.shape) >= rate) / (1.0 - rate)
-    return ad.mul(x, Tensor(mask))
+def encode_states(model, sequences, prefix=None):
+    """Final-layer hidden states of a batch of id sequences, packed.
 
-
-def encode_states(model, token_ids, prefix=None, dropout_rng=None):
-    """Full final-layer hidden states (T x d) as a graph tensor."""
+    Returns (states, offsets): states is a (sum T_i, d) graph tensor whose
+    rows offsets[i]:offsets[i+1] belong to sequences[i]. prefix is None or
+    one (K, V) pair per layer, shared by every sequence of the batch.
+    """
     cfg = model.config
     p = model.params
-    ids = _check_ids(model, token_ids)
+    seqs = [_check_ids(model, ids) for ids in sequences]
+    if not seqs:
+        raise ValueError("encode_states: no sequences")
     if prefix is not None and len(prefix) not in (0, cfg.num_layers):
         raise ValueError("prefix must supply one (K, V) pair per layer")
-    if prefix is not None and len(prefix) == 0:
-        prefix = None
-    rate = cfg.dropout_rate
+    lengths = [len(ids) for ids in seqs]
+    offsets = np.cumsum([0] + lengths)
 
-    x = ad.embedding_gather(p["tok_emb"], ids)
-    x = ad.add(x, ad.slice_(p["pos_emb"], 0, 0, len(ids)))
+    def linear(x, base, name):
+        return ad.add(ad.matmul(x, p[base + "w" + name]), p[base + "b" + name])
+
+    x = ad.add(ad.embedding_gather(p["tok_emb"], np.concatenate(seqs)),
+               ad.embedding_gather(p["pos_emb"], np.concatenate([np.arange(n) for n in lengths])))
     x = ad.layer_norm(x, p["emb_ln_g"], p["emb_ln_b"], eps=LAYER_NORM_EPS)
-    x = _dropout(x, rate, dropout_rng)
-
-    dh = cfg.head_dim
-    inv_sqrt_dh = 1.0 / math.sqrt(dh)
     for k in range(cfg.num_layers):
         base = f"layer{k}."
-        q = ad.add(ad.matmul(x, p[base + "wq"]), p[base + "bq"])
-        keys = ad.add(ad.matmul(x, p[base + "wk"]), p[base + "bk"])
-        values = ad.add(ad.matmul(x, p[base + "wv"]), p[base + "bv"])
-        if prefix is not None:
-            pk, pv = prefix[k]
-            keys = ad.concat([pk, keys], axis=0)
-            values = ad.concat([pv, values], axis=0)
-        heads = []
-        for h in range(cfg.num_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qi = ad.slice_(q, 1, lo, hi)
-            ki = ad.slice_(keys, 1, lo, hi)
-            vi = ad.slice_(values, 1, lo, hi)
-            att = ad.softmax(ad.scale(ad.matmul(qi, ad.transpose(ki)), inv_sqrt_dh))
-            heads.append(ad.matmul(att, vi))
-        attn_out = heads[0] if len(heads) == 1 else ad.concat(heads, axis=1)
-        attn_out = ad.add(ad.matmul(attn_out, p[base + "wo"]), p[base + "bo"])
-        attn_out = _dropout(attn_out, rate, dropout_rng)
-        x = ad.layer_norm(ad.add(x, attn_out), p[base + "ln1_g"], p[base + "ln1_b"], eps=LAYER_NORM_EPS)
-        f = ad.add(ad.matmul(x, p[base + "w1"]), p[base + "b1"])
-        f = ad.add(ad.matmul(ad.gelu(f), p[base + "w2"]), p[base + "b2"])
-        f = _dropout(f, rate, dropout_rng)
+        attn = ad.attention(linear(x, base, "q"), linear(x, base, "k"), linear(x, base, "v"),
+                            offsets, cfg.num_heads, prefix=prefix[k] if prefix else None)
+        x = ad.layer_norm(ad.add(x, linear(attn, base, "o")),
+                          p[base + "ln1_g"], p[base + "ln1_b"], eps=LAYER_NORM_EPS)
+        f = linear(ad.gelu(linear(x, base, "1")), base, "2")
         x = ad.layer_norm(ad.add(x, f), p[base + "ln2_g"], p[base + "ln2_b"], eps=LAYER_NORM_EPS)
-    return x
+    return x, offsets
 
 
-def encode_tokens(model, prompts, token_ids, role="query", dropout_rng=None):
+def pooled(model, sequences, prefix=None):
+    """First-token ([CLS]) embeddings of a batch as one (n, d) graph tensor."""
+    states, offsets = encode_states(model, sequences, prefix=prefix)
+    return ad.embedding_gather(states, offsets[:-1])
+
+
+def encode_tokens(model, prompts, token_ids, role="query"):
     """First-token embedding as a 1 x d graph tensor (training path)."""
-    prefix = None
-    if prompts is not None and prompts.prompt_length > 0:
-        prompts.check_compatible(model.config)
-        prefix = prefix_kv(model, prompts.realize(role))
-    states = encode_states(model, token_ids, prefix=prefix, dropout_rng=dropout_rng)
-    return ad.slice_(states, 0, 0, 1)
+    return pooled(model, [token_ids], role_prefix(model, prompts, role))
+
+
+def encode_batch(model, prompts, sequences, role="query"):
+    """Inference encode of a batch: (n, d) first-token vectors as ndarray.
+
+    The prefix is detached from the prompt parameters, so with a frozen
+    backbone the forward records no tape, whatever the prompts' flags.
+    """
+    prefix = role_prefix(model, prompts, role)
+    if prefix is not None:
+        prefix = [(Tensor(k.data), Tensor(v.data)) for k, v in prefix]
+    return pooled(model, sequences, prefix).data
 
 
 def encode(model, prompts, token_ids, role="query"):
     """Inference encode: the d-dimensional first-token vector as ndarray."""
-    return encode_tokens(model, prompts, token_ids, role=role).data[0].copy()
+    return encode_batch(model, prompts, [token_ids], role=role)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -298,27 +311,16 @@ def mlm_logits(model, states, positions):
     return ad.add(ad.matmul(rows, ad.transpose(model.params["tok_emb"])), model.params["mlm_bias"])
 
 
-def mlm_loss(model, batch, prompts=None, role="query", dropout_rng=None):
+def mlm_loss(model, batch, prompts=None, role="query"):
     """Mean cross-entropy over all masked positions in the batch."""
-    prefix = None
-    if prompts is not None and prompts.prompt_length > 0:
-        prompts.check_compatible(model.config)
-        prefix = prefix_kv(model, prompts.realize(role))
-    rows, labels = [], []
-    for seq in batch:
-        if not seq.positions:
-            continue
-        states = encode_states(model, seq.ids, prefix=prefix, dropout_rng=dropout_rng)
-        rows.append(ad.embedding_gather(states, seq.positions))
-        labels.extend(seq.labels)
-    if not rows:
+    seqs = [seq for seq in batch if seq.positions]
+    if not seqs:
         raise ValueError("mlm_loss: batch contains no masked positions")
-    gathered = rows[0] if len(rows) == 1 else ad.concat(rows, axis=0)
-    logits = ad.add(
-        ad.matmul(gathered, ad.transpose(model.params["tok_emb"])),
-        model.params["mlm_bias"],
-    )
-    return ad.cross_entropy_rows(logits, labels)
+    states, offsets = encode_states(model, [seq.ids for seq in seqs],
+                                    prefix=role_prefix(model, prompts, role))
+    rows = np.concatenate([start + np.asarray(seq.positions) for start, seq in zip(offsets, seqs)])
+    labels = [label for seq in seqs for label in seq.labels]
+    return ad.cross_entropy_rows(mlm_logits(model, states, rows), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -252,15 +252,10 @@ def contrastive_loss(embeddings, pairing=None):
 
     The denominator ranges over every other batch element (the partner
     included, as the numerator term); only the anchor itself is excluded.
-    Accepts a list of 1 x d graph tensors or a plain (2m, d) array.
+    Accepts a (2m, d) graph tensor or a plain (2m, d) array.
     """
-    if isinstance(embeddings, np.ndarray):
-        rows = Tensor(embeddings)
-        n = embeddings.shape[0]
-    else:
-        embeddings = list(embeddings)
-        n = len(embeddings)
-        rows = embeddings[0] if n == 1 else ad.concat(embeddings, axis=0)
+    rows = Tensor(embeddings) if isinstance(embeddings, np.ndarray) else embeddings
+    n = rows.shape[0]
     if pairing is None:
         pairing = default_pairing(n)
     if len(pairing) != n or any(
@@ -300,37 +295,40 @@ def partner_ranks(score_matrix, pairing=None):
     return ranks
 
 
-def rip_loss(batch, model, prompts=None, dropout_rng=None):
+def rip_loss(batch, model, prompts=None):
     """Combined pretraining loss for one batch plus its report fields.
 
     Embeddings come from the unmasked copies; the masked-LM term uses the
-    separately masked copies. Per the batch-mean definition, the combined
-    value is mean_units(mlm) + mean_anchors(contrastive).
+    separately masked copies. Both go through one packed forward. Per the
+    batch-mean definition, the combined value is mean_units(mlm) +
+    mean_anchors(contrastive).
     """
     prefix = None
     if prompts is not None and prompts.prompt_length > 0:
         prompts.check_compatible(model.config)
         prefix = prefix_kv(model, prompts.realize("query"))
 
-    emb_nodes = []
-    for ids in batch.token_ids:
-        states = encode_states(model, ids, prefix=prefix, dropout_rng=dropout_rng)
-        emb_nodes.append(ad.slice_(states, 0, 0, 1))
-    l_c = contrastive_loss(emb_nodes)
+    n = len(batch.token_ids)
+    masked = [seq for seq in batch.masked if seq.positions]
+    states, offsets = encode_states(model, list(batch.token_ids) + [seq.ids for seq in masked],
+                                    prefix=prefix)
+    embs = ad.embedding_gather(states, offsets[:n])
+    l_c = contrastive_loss(embs)
 
     unit_losses = []
-    for seq in batch.masked:
-        if seq.positions:
-            states = encode_states(model, seq.ids, prefix=prefix, dropout_rng=dropout_rng)
-            logits = mlm_logits(model, states, seq.positions)
-            unit_losses.append(ad.cross_entropy_rows(logits, seq.labels))
-        else:
-            unit_losses.append(Tensor(0.0))
+    if masked:
+        rows = [start + np.asarray(seq.positions) for start, seq in zip(offsets[n:], masked)]
+        logits = mlm_logits(model, states, np.concatenate(rows))
+        ends = np.cumsum([len(seq.positions) for seq in masked])
+        for seq, end in zip(masked, ends):
+            unit_logits = ad.embedding_gather(logits, np.arange(end - len(seq.positions), end))
+            unit_losses.append(ad.cross_entropy_rows(unit_logits, seq.labels))
+    # units without masked positions add exact zeros, so their place in the sum is moot
+    unit_losses += [Tensor(0.0)] * (len(batch.masked) - len(masked))
     l_s = ad.average(unit_losses)
     combined = ad.add(l_s, l_c)
 
-    embs = np.vstack([e.data[0] for e in emb_nodes])
-    ranks = partner_ranks(embs @ embs.T)
+    ranks = partner_ranks(embs.data @ embs.data.T)
     report = {
         "contrastive": l_c.item(),
         "mlm": l_s.item(),

@@ -181,10 +181,11 @@ class PromptSet:
         return [ad.slice_(flat, 1, k * d, (k + 1) * d) for k in range(self.num_layers)]
 
     def check_compatible(self, config):
-        """Structural compatibility with a backbone config (d and L).
+        """Prompt geometry against a backbone config: d, L and pinned l.
 
-        Prompt length is a per-task choice and is not checked against the
-        backbone: the prefix occupies key/value slots only.
+        The prefix occupies key/value slots only, so prompt length is a
+        per-task choice: a config with prompt_length 0 accepts any length,
+        while a nonzero value pins it (empty prompt sets always pass).
         """
         if self.hidden_size != config.hidden_size:
             raise ValueError(
@@ -195,6 +196,11 @@ class PromptSet:
             raise ValueError(
                 f"prompt layer count {self.num_layers} != model layer count "
                 f"{config.num_layers}"
+            )
+        if config.prompt_length and self.prompt_length not in (0, config.prompt_length):
+            raise ValueError(
+                f"prompt length {self.prompt_length} != model prompt length "
+                f"{config.prompt_length}"
             )
 
     def copy(self):

@@ -35,7 +35,6 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from . import autodiff as ad
 from .autodiff import Tensor
 from .encoder import encode_states, prefix_kv
 from .prompts import promptset_from_json
@@ -68,8 +67,8 @@ class PromptRegistryEntry:
 def _project_prefix(model, promptset):
     """Precompute prefix K/V arrays per role through the frozen weights.
 
-    Runs the exact computation the in-process encoder performs, so encode
-    results agree bitwise with the library path.
+    This is encoder.prefix_kv, run once at registration rather than per
+    request; tests/test_serving.py checks served vectors against encode().
     """
     out = {}
     if promptset.prompt_length == 0:
@@ -93,32 +92,20 @@ class EncodingService:
 
     # -- prompt registration -------------------------------------------------
 
-    def _validate_dims(self, ps):
-        cfg = self.model.config
-        if ps.hidden_size != cfg.hidden_size:
-            raise ServiceError(
-                400, "dimension_mismatch", "prompt hidden size mismatch",
-                {"field": "d", "expected": cfg.hidden_size, "actual": ps.hidden_size},
-            )
-        if ps.num_layers != cfg.num_layers:
-            raise ServiceError(
-                400, "dimension_mismatch", "prompt layer count mismatch",
-                {"field": "L", "expected": cfg.num_layers, "actual": ps.num_layers},
-            )
-        # a checkpoint with prompt_length=0 accepts any prompt length;
-        # a nonzero value pins the expected geometry (empty prompts pass)
-        if cfg.prompt_length and ps.prompt_length not in (0, cfg.prompt_length):
-            raise ServiceError(
-                400, "dimension_mismatch", "prompt length mismatch",
-                {"field": "l", "expected": cfg.prompt_length, "actual": ps.prompt_length},
-            )
-
-    def register(self, doc):
+    def _parse_promptset(self, doc):
+        """A prompt set from its file JSON, checked against the backbone."""
         try:
             ps = promptset_from_json(doc)
         except (KeyError, ValueError, TypeError) as exc:
             raise ServiceError(400, "bad_promptset", f"invalid prompt set: {exc}")
-        self._validate_dims(ps)
+        try:
+            ps.check_compatible(self.model.config)
+        except ValueError as exc:
+            raise ServiceError(400, "dimension_mismatch", str(exc))
+        return ps
+
+    def register(self, doc):
+        ps = self._parse_promptset(doc)
         prefix_by_role = _project_prefix(self.model, ps)
         with self._lock:
             prompt_id = f"prompt-{next(self._ids):04d}"
@@ -155,15 +142,7 @@ class EncodingService:
             ps = entry.promptset
             prefix = entry.prefix_by_role[ps.resolve_role(role)]
         else:
-            prompt_id = None
-            try:
-                ps = promptset_from_json(request["inline_prompt"])
-            except (KeyError, ValueError, TypeError) as exc:
-                raise ServiceError(400, "bad_promptset", f"invalid prompt set: {exc}")
-            cfg = self.model.config
-            if ps.hidden_size != cfg.hidden_size or ps.num_layers != cfg.num_layers:
-                raise ServiceError(400, "dimension_mismatch",
-                                   "inline prompt does not match the backbone")
+            ps = self._parse_promptset(request["inline_prompt"])
             prefix = _project_prefix(self.model, ps)[ps.resolve_role(role)]
         return prefix
 
@@ -179,14 +158,17 @@ class EncodingService:
         if has_text:
             return self.model.vocab.encode(request["text"], max_len=cfg.max_seq_len)
         ids = request["token_ids"]
-        if not isinstance(ids, list) or not ids or ids[0] != CLS_ID:
+        # type(...) is int: JSON true/false arrive as bool, a subclass of int
+        if not isinstance(ids, list) or not all(type(i) is int for i in ids):
+            raise ServiceError(400, "bad_request", "token_ids must be a list of integers")
+        if not ids or ids[0] != CLS_ID:
             raise ServiceError(400, "bad_request", "token_ids must begin with [CLS]")
         if len(ids) > cfg.max_seq_len:
             raise ServiceError(
                 400, "sequence_too_long",
                 f"sequence length {len(ids)} exceeds {cfg.max_seq_len}",
             )
-        bad = [i for i in ids if not isinstance(i, int) or i < 0 or i >= cfg.vocab_size]
+        bad = [i for i in ids if i < 0 or i >= cfg.vocab_size]
         if bad:
             raise ServiceError(400, "unknown_token", f"unknown token id {bad[0]}")
         return ids
@@ -198,7 +180,7 @@ class EncodingService:
         prefix = None
         if prefix_np is not None:
             prefix = [(Tensor(k), Tensor(v)) for k, v in prefix_np]
-        states = encode_states(self.model, ids, prefix=prefix)
+        states, _ = encode_states(self.model, [ids], prefix=prefix)
         return states.data[0].copy()
 
     def encode_response(self, request):

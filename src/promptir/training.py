@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, backward
-from .encoder import prefix_kv, save_checkpoint
+from .encoder import pooled, prefix_kv, save_checkpoint
 from .prompts import PromptSet, save_promptset
 
 
@@ -111,7 +111,7 @@ def _grad_norm(params):
 
 
 class _EncoderCache:
-    """Tokenization cache plus per-step encoding with shared prefix nodes."""
+    """Tokenization cache plus the per-step prompt prefixes."""
 
     def __init__(self, model, prompts):
         self.model = model
@@ -137,13 +137,6 @@ class _EncoderCache:
                 prefixes[key] = prefix_kv(self.model, self.prompts.realize(key))
             prefixes[role] = prefixes[key]
         return prefixes
-
-    def encode(self, text, role, prefixes):
-        from .encoder import encode_states
-
-        prefix = None if prefixes is None else prefixes[role]
-        states = encode_states(self.model, self.tokens(text), prefix=prefix)
-        return ad.slice_(states, 0, 0, 1)
 
 
 def batch_candidates(batch, config, positives_of):
@@ -190,13 +183,18 @@ def train_step(batch, model, prompts, config, optimizer, corpus_texts,
     if missing:
         raise KeyError(f"passage ids not in corpus: {missing[:5]}")
 
-    # encode each unique passage and query once per step
-    p_vecs = {pid: cache.encode(corpus_texts[pid], "passage", prefixes) for pid in needed}
+    # one packed forward for the step's unique passages, one for its queries
+    def embed(texts, role):
+        prefix = None if prefixes is None else prefixes[role]
+        return pooled(model, [cache.tokens(t) for t in texts], prefix)
+
+    passages = embed([corpus_texts[pid] for pid in needed], "passage")
+    queries = embed([ex.query for ex in batch], "query")
+    row = {pid: i for i, pid in enumerate(needed)}
     losses = []
-    for ex, cands in zip(batch, per_example):
-        q_vec = cache.encode(ex.query, "query", prefixes)
-        pmat = ad.concat([p_vecs[pid] for pid in cands], axis=0)
-        scores = ad.matmul(q_vec, ad.transpose(pmat))
+    for i, cands in enumerate(per_example):
+        cand_rows = ad.embedding_gather(passages, [row[pid] for pid in cands])
+        scores = ad.matmul(ad.embedding_gather(queries, [i]), ad.transpose(cand_rows))
         losses.append(ad.cross_entropy_rows(scores, [0]))
     loss = ad.average(losses)
 

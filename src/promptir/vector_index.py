@@ -17,10 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode
+from .encoder import encode, encode_batch
 
 INDEX_MAGIC = b"DPTI"
 INDEX_VERSION = 1
+ENCODE_BATCH = 128  # passages per packed forward; bounds encode_corpus memory
 
 
 @dataclass
@@ -53,18 +54,24 @@ class VectorIndex:
 
 
 def encode_corpus(corpus, model, prompts, role="passage"):
-    """Encode every passage in corpus order into a fresh index."""
+    """Encode every passage in corpus order into a fresh index.
+
+    Passages go through packed forwards of up to ENCODE_BATCH each; each
+    row is bitwise what encode() gives for that passage alone (see the
+    encoder module).
+    """
     items = list(corpus.items()) if isinstance(corpus, dict) else list(corpus)
-    vecs = np.empty((len(items), model.config.hidden_size), dtype=np.float64)
-    pids = []
-    for row, (pid, text) in enumerate(items):
-        ids = model.vocab.encode(text, max_len=model.config.max_seq_len)
+    seqs = []
+    for pid, text in items:
         try:
-            vecs[row] = encode(model, prompts, ids, role=role)
-        except Exception as exc:
+            seqs.append(model.vocab.encode(text, max_len=model.config.max_seq_len))
+        except (AttributeError, TypeError) as exc:
             raise RuntimeError(f"failed to encode passage {pid}: {exc}") from exc
-        pids.append(pid)
-    return VectorIndex(vecs, pids, model.fingerprint())
+    vecs = np.empty((len(seqs), model.config.hidden_size))
+    for lo in range(0, len(seqs), ENCODE_BATCH):
+        vecs[lo:lo + ENCODE_BATCH] = encode_batch(model, prompts, seqs[lo:lo + ENCODE_BATCH],
+                                                  role=role)
+    return VectorIndex(vecs, [pid for pid, _ in items], model.fingerprint())
 
 
 def search(index, query_vector, k):

@@ -1,0 +1,96 @@
+"""Golden embeddings and DPT loss trajectories of the tiny test backbones.
+
+``golden_values()`` computes them through the public API; the stored
+values in ``tests/data/golden.json`` were recorded with the per-sequence,
+per-head forward that preceded the packed one, so test_golden.py pins the
+packed forward to it. Regenerate only on a deliberate numerical change:
+
+    PYTHONPATH=src:tests python tests/golden.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from promptir.encoder import encode
+from promptir.tokenizer import Vocabulary
+from promptir.training import TrainConfig, TrainingExample, train
+
+from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
+
+PATH = Path(__file__).parent / "data" / "golden.json"
+
+QUERIES = ["the cat", "red ball park", "quiet", "", "stars over the old city"]
+
+WEIGHT_SCALE = 20.0
+
+# case -> (model keyword arguments, prompt keyword arguments or None)
+CASES = {
+    "none": ({}, None),
+    "shared": ({}, {}),
+    "separate": ({}, {"separate_roles": True}),
+    "mlp": ({"reparam_mode": "mlp", "mlp_hidden": 8}, {}),
+}
+
+# trajectory -> (case, training mode)
+TRAJECTORIES = {
+    "ft": ("none", "ft"),
+    "dpt_shared": ("shared", "dpt"),
+    "dpt_separate": ("separate", "dpt"),
+    "dpt_mlp": ("mlp", "dpt"),
+}
+
+
+def build(case):
+    model_kw, prompt_kw = CASES[case]
+    model = make_tiny_model(Vocabulary.build(TINY_TEXTS), seed=3, **model_kw)
+    for p in model.parameters():
+        if p.ndim == 2:
+            p.data *= WEIGHT_SCALE  # sharper attention, so prompts move the loss
+    prompts = None if prompt_kw is None else make_tiny_prompts(model, seed=4, **prompt_kw)
+    return model, prompts
+
+
+def retrieval_data():
+    """Eight examples over the tiny texts, two negatives each."""
+    corpus = {f"p{i}": text for i, text in enumerate(TINY_TEXTS)}
+    examples = [
+        TrainingExample(qid=f"q{i}", query=" ".join(TINY_TEXTS[i].split()[1:4]),
+                        pos_pid=f"p{i}",
+                        neg_pids=[f"p{(i + 1) % 8}", f"p{(i + 3) % 8}"])
+        for i in range(8)
+    ]
+    return corpus, examples
+
+
+def golden_values():
+    out = {"embeddings": {}, "losses": {}}
+    for case in CASES:
+        model, prompts = build(case)
+        cfg = model.config
+        out["embeddings"][case] = {
+            role: [encode(model, prompts, model.vocab.encode(t, max_len=cfg.max_seq_len),
+                          role=role).tolist() for t in texts]
+            for role, texts in (("passage", TINY_TEXTS), ("query", QUERIES))
+        }
+    corpus, examples = retrieval_data()
+    for name, (case, mode) in TRAJECTORIES.items():
+        model, prompts = build(case)
+        config = TrainConfig(mode=mode, epochs=5, batch_size=4, negatives_per_query=2,
+                             learning_rate=1e-2, warmup_ratio=0.0,
+                             separate_prompts=case == "separate")
+        result = train(examples[:4], corpus, model, prompts, config)
+        out["losses"][name] = [r.loss for r in result.log]
+    return out
+
+
+def relative_error(got, want):
+    """max |got - want| / max |want| over one vector or scalar."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
+if __name__ == "__main__":
+    PATH.parent.mkdir(exist_ok=True)
+    PATH.write_text(json.dumps(golden_values(), indent=1) + "\n")

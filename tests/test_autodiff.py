@@ -23,10 +23,6 @@ def rand_tensor(rng, *shape, requires_grad=True):
 
 
 class TestForwardFixtures:
-    def test_softmax_symmetry(self):
-        out = ad.softmax(Tensor([0.0, 0.0]))
-        np.testing.assert_allclose(out.data, [0.5, 0.5], atol=0)
-
     def test_matmul_identity(self):
         rng = np.random.default_rng(0)
         a = Tensor(rng.normal(size=(3, 5)))
@@ -51,7 +47,7 @@ class TestForwardFixtures:
     def test_ops_finite_on_finite_inputs(self):
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(4, 6)) * 50)  # large values stress softmax
-        assert np.all(np.isfinite(ad.softmax(x).data))
+        assert np.all(np.isfinite(ad.attention(x, x, x, [0, 4], 2).data))
         loss = ad.cross_entropy_rows(x, [0, 1, 2, 3])
         assert np.isfinite(loss.data)
 
@@ -141,12 +137,6 @@ class TestOpGradChecks:
         a, b = rand_tensor(rng, 5), rand_tensor(rng, 5)
         self.check(lambda: ad.sum_all(ad.scale(ad.mul(a, b), 2.5)), [a, b])
 
-    def test_softmax(self):
-        rng = np.random.default_rng(14)
-        a = rand_tensor(rng, 3, 5)
-        w = Tensor(rng.normal(size=(3, 5)))
-        self.check(lambda: ad.sum_all(ad.mul(ad.softmax(a), w)), [a])
-
     def test_layer_norm(self):
         rng = np.random.default_rng(15)
         x, g, b = rand_tensor(rng, 3, 6), rand_tensor(rng, 6), rand_tensor(rng, 6)
@@ -200,6 +190,130 @@ class TestOpGradChecks:
         rng = np.random.default_rng(22)
         logits = rand_tensor(rng, 4, 6)
         self.check(lambda: ad.cross_entropy_rows(logits, [1, 0, 5, 3]), [logits])
+
+
+def reference_attention(q, k, v, offsets, num_heads, prefix=None):
+    """Per-sequence, per-head loop over plain arrays: the oracle for attention."""
+    d = q.shape[1]
+    dh = d // num_heads
+    out = np.zeros_like(q)
+    for lo, hi in zip(offsets[:-1], offsets[1:]):
+        keys, values = k[lo:hi], v[lo:hi]
+        if prefix is not None:
+            keys = np.vstack([prefix[0], keys])
+            values = np.vstack([prefix[1], values])
+        for h in range(num_heads):
+            cols = slice(h * dh, (h + 1) * dh)
+            s = q[lo:hi, cols] @ keys[:, cols].T / math.sqrt(dh)
+            w = np.exp(s - s.max(axis=1, keepdims=True))
+            out[lo:hi, cols] = (w / w.sum(axis=1, keepdims=True)) @ values[:, cols]
+    return out
+
+
+class TestAttention:
+    """The fused multi-head attention op over packed, ragged sequences."""
+
+    OFFSETS = [0, 1, 5, 7]  # lengths 1, 4 and 2
+
+    def inputs(self, seed, prompt_length, d=6):
+        rng = np.random.default_rng(seed)
+        n = self.OFFSETS[-1]
+        q, k, v = (rand_tensor(rng, n, d) for _ in range(3))
+        prefix = None
+        if prompt_length is not None:
+            prefix = (rand_tensor(rng, prompt_length, d), rand_tensor(rng, prompt_length, d))
+        w = Tensor(rng.normal(size=(n, d)))
+        return q, k, v, prefix, w
+
+    @pytest.mark.parametrize("prompt_length", [None, 0, 3])
+    def test_grad_check(self, prompt_length):
+        q, k, v, prefix, w = self.inputs(30, prompt_length)
+        params = [q, k, v] + list(prefix or ())
+
+        def f():
+            return ad.sum_all(ad.mul(ad.attention(q, k, v, self.OFFSETS, 2, prefix), w))
+
+        err = grad_check(f, params, num_samples=120, h=1e-5, rng=np.random.default_rng(0))
+        assert err < 1e-4, f"max relative error {err}"
+
+    @pytest.mark.parametrize("prompt_length", [None, 0, 3])
+    def test_matches_per_head_reference(self, prompt_length):
+        q, k, v, prefix, _ = self.inputs(31, prompt_length)
+        got = ad.attention(q, k, v, self.OFFSETS, 3, prefix).data
+        plain = None if prefix is None else (prefix[0].data, prefix[1].data)
+        want = reference_attention(q.data, k.data, v.data, self.OFFSETS, 3, plain)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_equal_scores_average_values(self):
+        # zero queries give every key the same weight
+        q, k, v, prefix, _ = self.inputs(35, 3)
+        q.data[:] = 0.0
+        out = ad.attention(q, k, v, self.OFFSETS, 2, prefix).data
+        for lo, hi in zip(self.OFFSETS[:-1], self.OFFSETS[1:]):
+            mean = np.vstack([prefix[1].data, v.data[lo:hi]]).mean(axis=0)
+            np.testing.assert_allclose(out[lo:hi], np.tile(mean, (hi - lo, 1)), atol=1e-15)
+
+    def test_sequences_do_not_interact(self):
+        q, k, v, prefix, _ = self.inputs(32, 3)
+        base = ad.attention(q, k, v, self.OFFSETS, 2, prefix).data
+        for t in (q, k, v):
+            t.data[1:5] += 1.0  # only the second sequence's rows
+        moved = ad.attention(q, k, v, self.OFFSETS, 2, prefix).data
+        np.testing.assert_array_equal(moved[[0, 5, 6]], base[[0, 5, 6]])
+        assert not np.array_equal(moved[1:5], base[1:5])
+
+    def test_frozen_operands_get_no_grad(self):
+        q, k, v, prefix, w = self.inputs(33, 3)
+        for t in (q, k, v):
+            t.requires_grad = False
+        backward(ad.sum_all(ad.mul(ad.attention(q, k, v, self.OFFSETS, 2, prefix), w)))
+        assert q.grad is None and k.grad is None and v.grad is None
+        assert prefix[0].grad is not None and np.any(prefix[0].grad != 0)
+        assert prefix[1].grad is not None and np.any(prefix[1].grad != 0)
+
+    def test_bad_offsets_and_shapes_rejected(self):
+        q, k, v, prefix, _ = self.inputs(34, 3)
+        for offsets in ([0, 3, 3, 7], [1, 7], [0, 6]):
+            with pytest.raises(ValueError, match="offsets"):
+                ad.attention(q, k, v, offsets, 2, prefix)
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, self.OFFSETS, 4, prefix)  # 6 columns, 4 heads
+        with pytest.raises(ShapeError):
+            ad.attention(q, k, v, self.OFFSETS, 2, (prefix[0], Tensor(np.zeros((2, 6)))))
+
+
+class TestFrozenOperandSkip:
+    """Binary ops build no gradient for an operand that does not require one."""
+
+    @pytest.mark.parametrize("op", ["matmul", "add", "mul"])
+    def test_gradient_only_for_trainable_operand(self, op):
+        rng = np.random.default_rng(35)
+        a = rand_tensor(rng, 3, 3)
+        b = rand_tensor(rng, 3, 3, requires_grad=False)
+        fn = getattr(ad, op)
+        backward(ad.sum_all(fn(a, b)))
+        assert b.grad is None
+        b.requires_grad = True
+        a_grad = a.grad.copy()
+        a.grad = None
+        backward(ad.sum_all(fn(a, b)))
+        np.testing.assert_array_equal(a.grad, a_grad)
+
+    def test_layer_norm_frozen_gain_and_bias(self):
+        rng = np.random.default_rng(36)
+        x = rand_tensor(rng, 3, 4)
+        g, b = rand_tensor(rng, 4, requires_grad=False), rand_tensor(rng, 4, requires_grad=False)
+        w = Tensor(rng.normal(size=(3, 4)))
+        backward(ad.sum_all(ad.mul(ad.layer_norm(x, g, b), w)))
+        assert g.grad is None and b.grad is None and x.grad is not None
+
+    def test_one_row_matmul_rows_match_many_rows(self):
+        # numpy would compute a one-row product with gemv; the op must not
+        rng = np.random.default_rng(37)
+        a, b = Tensor(rng.normal(size=(9, 64))), Tensor(rng.normal(size=(64, 64)))
+        full = ad.matmul(a, b).data
+        for i in range(9):
+            np.testing.assert_array_equal(ad.matmul(Tensor(a.data[i:i + 1]), b).data[0], full[i])
 
 
 class TestAdamW:

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptir import autodiff as ad
 from promptir.autodiff import AdamW, Tensor, backward, grad_check
@@ -15,11 +17,14 @@ from promptir.encoder import (
     backbone_param_count,
     deserialize_model,
     encode,
+    encode_states,
     encode_tokens,
     init_model,
     load_checkpoint,
     mlm_loss,
     param_partition,
+    pooled,
+    role_prefix,
     save_checkpoint,
     serialize_model,
 )
@@ -33,7 +38,7 @@ from promptir.prompts import (
 )
 from promptir.tokenizer import CLS_ID, SEP_ID, Vocabulary
 
-from conftest import make_tiny_model, make_tiny_prompts
+from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
 
 
 def encode_text(model, prompts, text, role="query"):
@@ -123,6 +128,76 @@ class TestEncode:
 
         err = grad_check(f, tiny_prompts.parameters(), num_samples=24)
         assert err < 1e-4
+
+
+def _invariance_models():
+    vocab = Vocabulary.build(TINY_TEXTS)
+    tiny = make_tiny_model(vocab)
+    # the benchmark's layer shape: d=64, 4 heads, ffn=256, max_seq_len=64
+    wide = make_tiny_model(vocab, hidden_size=64, num_heads=4, ffn_size=256,
+                           max_seq_len=64, prompt_length=8)
+    return {name: (m, make_tiny_prompts(m)) for name, m in (("tiny", tiny), ("wide", wide))}
+
+
+INVARIANCE_MODELS = _invariance_models()
+
+
+def assert_batch_invariant(model, prefix, batch):
+    """Every sequence's rows in the packed batch equal its lone forward, bitwise."""
+    states, offsets = encode_states(model, batch, prefix=prefix)
+    for i, ids in enumerate(batch):
+        lone, _ = encode_states(model, [ids], prefix=prefix)
+        np.testing.assert_array_equal(states.data[offsets[i]:offsets[i + 1]], lone.data)
+
+
+class TestPackedForward:
+    """Batch invariance: packing never changes a sequence's bits."""
+
+    @given(
+        name=st.sampled_from(sorted(INVARIANCE_MODELS)),
+        lengths=st.lists(st.integers(1, 64), min_size=1, max_size=10),
+        with_prefix=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_batch_any_position(self, name, lengths, with_prefix, seed):
+        model, prompts = INVARIANCE_MODELS[name]
+        rng = np.random.default_rng(seed)
+        cfg = model.config
+        batch = [[CLS_ID] + rng.integers(0, cfg.vocab_size, size=min(n, cfg.max_seq_len) - 1).tolist()
+                 for n in lengths]
+        prefix = role_prefix(model, prompts if with_prefix else None, "passage")
+        assert_batch_invariant(model, prefix, batch)
+
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
+    @pytest.mark.parametrize("with_prefix", [False, True])
+    def test_every_length_in_one_batch(self, name, with_prefix):
+        model, prompts = INVARIANCE_MODELS[name]
+        cfg = model.config
+        rng = np.random.default_rng(5)
+        batch = [[CLS_ID] + rng.integers(5, cfg.vocab_size, size=n - 1).tolist()
+                 for n in rng.permutation(np.arange(1, cfg.max_seq_len + 1))]
+        prefix = role_prefix(model, prompts if with_prefix else None, "query")
+        assert_batch_invariant(model, prefix, batch)
+
+    def test_batch_gradients_match_lone_sum(self, tiny_model, tiny_prompts):
+        # prompt gradients of a packed batch equal the sum over lone encodes
+        tiny_model.set_trainable(False)
+        seqs = [tiny_model.vocab.encode(t) for t in ("the cat sat.", "dogs chase the red ball.")]
+        w = Tensor(np.random.default_rng(4).normal(size=(2, tiny_model.config.hidden_size)))
+        prefix = role_prefix(tiny_model, tiny_prompts, "query")
+        backward(ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w)))
+        packed = [p.grad.copy() for p in tiny_prompts.parameters()]
+        tiny_prompts.set_trainable(True)
+        for i, ids in enumerate(seqs):
+            row = Tensor(w.data[i:i + 1])
+            backward(ad.sum_all(ad.mul(encode_tokens(tiny_model, tiny_prompts, ids), row)))
+        for p, g in zip(tiny_prompts.parameters(), packed):
+            np.testing.assert_allclose(p.grad, g, rtol=1e-12, atol=1e-15)
+
+    def test_empty_batch_rejected(self, tiny_model):
+        with pytest.raises(ValueError, match="no sequences"):
+            encode_states(tiny_model, [])
 
 
 class TestMlm:

@@ -1,0 +1,38 @@
+"""The packed forward against values recorded from the per-sequence forward.
+
+Embeddings and 5-step training-loss trajectories of the tiny backbones
+(tests/golden.py) must stay within GATE relative difference of
+tests/data/golden.json: the packed forward sums in a different order, so
+it agrees to rounding, not bitwise.
+"""
+
+import json
+
+import pytest
+
+from golden import CASES, PATH, TRAJECTORIES, golden_values, relative_error
+
+GATE = 1e-10
+WANT = json.loads(PATH.read_text())
+
+
+@pytest.fixture(scope="module")
+def got():
+    return golden_values()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("role", ["passage", "query"])
+def test_embeddings(got, case, role):
+    pairs = list(zip(got["embeddings"][case][role], WANT["embeddings"][case][role], strict=True))
+    assert pairs
+    for a, b in pairs:
+        assert relative_error(a, b) <= GATE
+
+
+@pytest.mark.parametrize("name", sorted(TRAJECTORIES))
+def test_loss_trajectory(got, name):
+    losses = list(zip(got["losses"][name], WANT["losses"][name], strict=True))
+    assert len(losses) == 5
+    for a, b in losses:
+        assert relative_error(a, b) <= GATE

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from promptir import vector_index
+from promptir.encoder import encode
 from promptir.evaluation import (
     alignment_uniformity,
     evaluate,
@@ -22,7 +24,7 @@ from promptir.vector_index import (
     search,
 )
 
-from conftest import make_tiny_model
+from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
 
 
 def brute_force_search(index, q, k):
@@ -91,6 +93,36 @@ class TestEncodeCorpus:
         assert len(a) == 3
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.fingerprint == model.fingerprint()
+
+    @pytest.mark.parametrize("per_forward", [3, 128])
+    def test_rows_equal_lone_encode(self, tiny_vocab, monkeypatch, per_forward):
+        # packed forwards of per_forward passages; each row is bitwise the lone encode
+        monkeypatch.setattr(vector_index, "ENCODE_BATCH", per_forward)
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        corpus = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat"])]
+        index = encode_corpus(corpus, model, prompts)
+        for row, (pid, text) in enumerate(corpus):
+            lone = encode(model, prompts, model.vocab.encode(text), role="passage")
+            np.testing.assert_array_equal(index.vectors[row], lone, err_msg=pid)
+
+    def test_empty_corpus(self, tiny_vocab):
+        model = make_tiny_model(tiny_vocab)
+        index = encode_corpus([], model, None)
+        assert len(index) == 0 and index.dim == model.config.hidden_size
+
+    @pytest.mark.parametrize("bad", [None, 7, b"bytes"])
+    def test_bad_passage_named(self, tiny_vocab, bad):
+        model = make_tiny_model(tiny_vocab)
+        corpus = [("p0", "the cat sat."), ("p-bad", bad), ("p2", "dogs chase balls.")]
+        with pytest.raises(RuntimeError, match="passage p-bad"):
+            encode_corpus(corpus, model, None)
+
+    def test_incompatible_prompts_rejected(self, tiny_vocab):
+        model = make_tiny_model(tiny_vocab)
+        other = make_tiny_prompts(make_tiny_model(tiny_vocab, hidden_size=32))
+        with pytest.raises(ValueError, match="hidden size"):
+            encode_corpus([("p0", "the cat sat.")], model, other)
 
     def test_run_queries_fingerprint_check(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, seed=0)

@@ -1,0 +1,127 @@
+"""The HTTP encoder against in-process encode, and its request validation.
+
+Served vectors must equal encoder.encode: bitwise with precision f64, and
+to float32 rounding for JSON f32 and application/octet-stream replies.
+"""
+
+import json
+import urllib.error
+
+import numpy as np
+import pytest
+
+from promptir.encoder import encode
+from promptir.prompts import PromptSet, promptset_to_json
+from promptir.serving import get_json, post_json, running_server
+from promptir.tokenizer import CLS_ID, SEP_ID
+
+from conftest import make_tiny_model, make_tiny_prompts
+
+TEXTS = ["the cat sat on the mat.", "", "bright stars fill the sky far from the city lights."]
+
+
+@pytest.fixture(scope="module")
+def served(tiny_vocab):
+    model = make_tiny_model(tiny_vocab)
+    shared = make_tiny_prompts(model, seed=1)
+    separate = make_tiny_prompts(model, seed=2, separate_roles=True)
+    with running_server(model) as srv:
+        ids = {name: post_json(srv.base_url + "/prompts", promptset_to_json(ps))[0]["prompt_id"]
+               for name, ps in (("shared", shared), ("separate", separate))}
+        yield srv, model, {"shared": shared, "separate": separate}, ids
+
+
+def post_error(url, body):
+    with pytest.raises(urllib.error.HTTPError) as exc:
+        post_json(url, body)
+    return exc.value.code, json.loads(exc.value.read().decode("utf-8"))
+
+
+def prompt_fields(ps_name, served, inline):
+    _, _, sets, ids = served
+    if inline:
+        return {"inline_prompt": promptset_to_json(sets[ps_name])}
+    return {"prompt_id": ids[ps_name]}
+
+
+@pytest.mark.parametrize("ps_name", ["shared", "separate"])
+@pytest.mark.parametrize("inline", [False, True])
+@pytest.mark.parametrize("role", ["query", "passage"])
+class TestServedVectors:
+    def test_f64_is_bitwise_encode(self, served, ps_name, inline, role):
+        srv, model, sets, _ = served
+        for text in TEXTS:
+            body = {"text": text, "role": role, "precision": "f64",
+                    **prompt_fields(ps_name, served, inline)}
+            reply, _ = post_json(srv.base_url + "/encode", body)
+            want = encode(model, sets[ps_name], model.vocab.encode(text), role=role)
+            np.testing.assert_array_equal(np.array(reply["vector"]), want)
+            assert reply["fingerprint"] == model.fingerprint()
+
+    def test_f32_json_and_binary_round_encode(self, served, ps_name, inline, role):
+        srv, model, sets, _ = served
+        for text in TEXTS:
+            body = {"text": text, "role": role, **prompt_fields(ps_name, served, inline)}
+            want = encode(model, sets[ps_name], model.vocab.encode(text), role=role)
+            want32 = want.astype(np.float32)
+            reply, _ = post_json(srv.base_url + "/encode", body)
+            np.testing.assert_array_equal(np.array(reply["vector"], dtype=np.float32), want32)
+            raw, headers = post_json(srv.base_url + "/encode", body,
+                                     headers={"Accept": "application/octet-stream"})
+            np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f4"), want32)
+            assert headers["X-Model-Fingerprint"] == model.fingerprint()
+
+
+class TestRequests:
+    def test_token_ids_equal_text(self, served):
+        srv, model, sets, ids = served
+        tokens = model.vocab.encode("the cat sat.")
+        by_ids, _ = post_json(srv.base_url + "/encode", {
+            "token_ids": tokens, "prompt_id": ids["shared"], "precision": "f64"})
+        want = encode(model, sets["shared"], tokens)
+        np.testing.assert_array_equal(np.array(by_ids["vector"]), want)
+
+    @pytest.mark.parametrize("token_ids", [[False, True], [CLS_ID, True, SEP_ID],
+                                           [CLS_ID, 5.0, SEP_ID], "0 1", []])
+    def test_non_integer_token_ids_rejected(self, served, token_ids):
+        srv, _, _, ids = served
+        status, body = post_error(srv.base_url + "/encode",
+                                  {"token_ids": token_ids, "prompt_id": ids["shared"]})
+        assert status == 400 and body["code"] == "bad_request"
+
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_pinned_prompt_length_enforced_on_both_paths(self, served, inline):
+        srv, model, _, ids = served
+        cfg = model.config
+        wrong = PromptSet.create("wrong", cfg.prompt_length + 2, cfg.hidden_size, cfg.num_layers)
+        doc = promptset_to_json(wrong)
+        if inline:
+            status, body = post_error(srv.base_url + "/encode",
+                                      {"text": "the cat", "inline_prompt": doc})
+        else:
+            status, body = post_error(srv.base_url + "/prompts", doc)
+        assert status == 400 and body["code"] == "dimension_mismatch"
+        assert "prompt length" in body["message"]
+
+    @pytest.mark.parametrize("inline", [False, True])
+    def test_hidden_size_mismatch_on_both_paths(self, served, inline):
+        srv, model, _, _ = served
+        cfg = model.config
+        doc = promptset_to_json(PromptSet.create("wide", cfg.prompt_length,
+                                                 2 * cfg.hidden_size, cfg.num_layers))
+        if inline:
+            status, body = post_error(srv.base_url + "/encode",
+                                      {"text": "the cat", "inline_prompt": doc})
+        else:
+            status, body = post_error(srv.base_url + "/prompts", doc)
+        assert status == 400 and body["code"] == "dimension_mismatch"
+
+    def test_unknown_prompt_is_404(self, served):
+        srv, _, _, _ = served
+        status, body = post_error(srv.base_url + "/encode", {"text": "x", "prompt_id": "nope"})
+        assert status == 404 and body["code"] == "unknown_prompt"
+
+    def test_health_echoes_fingerprint(self, served):
+        srv, model, _, _ = served
+        assert get_json(srv.base_url + "/health") == {"status": "ok",
+                                                       "fingerprint": model.fingerprint()}
