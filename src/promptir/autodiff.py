@@ -27,12 +27,8 @@ __all__ = [
     "gelu",
     "tanh",
     "embedding_gather",
-    "concat",
     "slice_",
-    "mean",
     "sum_all",
-    "log",
-    "exp",
     "cross_entropy_rows",
     "average",
     "backward",
@@ -84,10 +80,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    @property
-    def T(self):
-        return transpose(self)
-
     def item(self):
         return float(self.data)
 
@@ -97,32 +89,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    # operator sugar; everything routes through the named ops below
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, scale(other, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def sum(self):
-        return sum_all(self)
-
-    def mean(self):
-        return mean(self)
 
 
 def _node(data, parents, grad_fn):
@@ -379,30 +345,6 @@ def embedding_gather(table, ids):
     return _node(out_data, (table,), grad_fn)
 
 
-def concat(tensors, axis=0):
-    """Concatenate along axis 0 or 1; other dimensions must agree."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("concat: empty input")
-    ndim = tensors[0].ndim
-    if axis not in (0, 1) or axis >= ndim:
-        raise ShapeError("concat", *(t.shape for t in tensors))
-    other = 1 - axis if ndim == 2 else None
-    for t in tensors:
-        if t.ndim != ndim or (other is not None and t.shape[other] != tensors[0].shape[other]):
-            raise ShapeError("concat", *(t.shape for t in tensors))
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def grad_fn(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            piece = g[lo:hi] if axis == 0 else g[:, lo:hi]
-            _accum(t, piece)
-
-    return _node(out_data, tuple(tensors), grad_fn)
-
-
 def slice_(a, axis, start, stop):
     """Contiguous slice [start:stop) along one axis of a 1-D or 2-D tensor."""
     if axis >= a.ndim or not (0 <= start < stop <= a.shape[axis]):
@@ -425,39 +367,11 @@ def slice_(a, axis, start, stop):
     return _node(out_data, (a,), grad_fn)
 
 
-def mean(a):
-    out_data = np.asarray(a.data.mean())
-    n = a.size
-
-    def grad_fn(g):
-        _accum(a, np.full_like(a.data, float(g) / n))
-
-    return _node(out_data, (a,), grad_fn)
-
-
 def sum_all(a):
     out_data = np.asarray(a.data.sum())
 
     def grad_fn(g):
         _accum(a, np.full_like(a.data, float(g)))
-
-    return _node(out_data, (a,), grad_fn)
-
-
-def log(a):
-    out_data = np.log(a.data)
-
-    def grad_fn(g):
-        _accum(a, g / a.data)
-
-    return _node(out_data, (a,), grad_fn)
-
-
-def exp(a):
-    out_data = np.exp(a.data)
-
-    def grad_fn(g):
-        _accum(a, g * out_data)
 
     return _node(out_data, (a,), grad_fn)
 

@@ -1,17 +1,14 @@
 """On-disk formats shared across the pipeline.
 
-TSV for data (corpus / queries / qrels / run files), JSON-lines for
-structured records (training examples, mined pools, step logs). All JSON
-is dumped with sorted keys so identical content means identical bytes.
+TSV for the synthetic dataset (corpus / queries / qrels, written by
+synth.write_dataset), JSON for the pretraining skip report and JSON-lines
+for step logs. All JSON is dumped with sorted keys so identical content
+means identical bytes.
 """
 
 from __future__ import annotations
 
 import json
-
-
-def dump_json(obj):
-    return json.dumps(obj, sort_keys=True)
 
 
 def write_json(obj, path):
@@ -20,21 +17,11 @@ def write_json(obj, path):
         fh.write("\n")
 
 
-def read_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def write_jsonl(records, path):
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(dump_json(rec))
+            fh.write(json.dumps(rec, sort_keys=True))
             fh.write("\n")
-
-
-def read_jsonl(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 # -- corpus / queries: `id \t text` -----------------------------------------
@@ -58,12 +45,6 @@ def read_pairs_tsv(path):
     return rows
 
 
-write_corpus_tsv = write_pairs_tsv
-read_corpus_tsv = read_pairs_tsv
-write_queries_tsv = write_pairs_tsv
-read_queries_tsv = read_pairs_tsv
-
-
 # -- qrels: `query_id \t passage_id` ----------------------------------------
 
 
@@ -84,59 +65,3 @@ def read_qrels_tsv(path):
             qid, pid = line.split("\t")
             qrels.setdefault(qid, set()).add(pid)
     return qrels
-
-
-# -- run files: `query_id \t passage_id \t rank \t score` --------------------
-
-
-def write_run_tsv(results, path):
-    """results: iterable of objects with .query_id and .ranking."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for res in results:
-            for rank, (pid, score) in enumerate(res.ranking, start=1):
-                fh.write(f"{res.query_id}\t{pid}\t{rank}\t{score!r}\n")
-
-
-def read_run_tsv(path):
-    """Returns {query_id: [(passage_id, score), ...]} in rank order."""
-    runs = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            qid, pid, _rank, score = line.split("\t")
-            runs.setdefault(qid, []).append((pid, float(score)))
-    return runs
-
-
-# -- training examples: JSON-lines ------------------------------------------
-
-
-def write_training_examples(examples, path):
-    records = [
-        {
-            "qid": ex.qid,
-            "query": ex.query,
-            "pos_pid": ex.pos_pid,
-            "neg_pids": list(ex.neg_pids),
-            "neg_tags": list(ex.neg_tags),
-        }
-        for ex in examples
-    ]
-    write_jsonl(records, path)
-
-
-def read_training_examples(path):
-    from .training import TrainingExample
-
-    return [
-        TrainingExample(
-            qid=rec["qid"],
-            query=rec["query"],
-            pos_pid=rec["pos_pid"],
-            neg_pids=list(rec["neg_pids"]),
-            neg_tags=list(rec["neg_tags"]),
-        )
-        for rec in read_jsonl(path)
-    ]

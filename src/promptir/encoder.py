@@ -42,6 +42,8 @@ from .tokenizer import CLS_ID, MASK_ID, SPECIALS, Vocabulary
 CHECKPOINT_MAGIC = b"DPTE"
 CHECKPOINT_VERSION = 1
 LAYER_NORM_EPS = 1e-5
+# fields of older checkpoints, accepted only at the one value the encoder implements
+LEGACY_CONFIG = {"dropout_rate": 0.0, "pooling": "first_token"}
 
 
 @dataclass
@@ -55,8 +57,6 @@ class EncoderConfig:
     prompt_length: int = 0
     reparam_mode: str = "direct_embedding"  # or "mlp"
     mlp_hidden: int = 0
-    dropout_rate: float = 0.0  # kept in checkpoints; the encoder applies no dropout
-    pooling: str = "first_token"
 
     def __post_init__(self):
         if self.num_layers < 1:
@@ -72,26 +72,17 @@ class EncoderConfig:
             raise ValueError(f"unknown reparam_mode: {self.reparam_mode}")
         if self.reparam_mode == "mlp" and self.mlp_hidden <= 0:
             raise ValueError("mlp reparametrization needs mlp_hidden > 0")
-        if self.pooling != "first_token":
-            raise ValueError("only first_token pooling is supported")
-
-    @property
-    def head_dim(self):
-        return self.hidden_size // self.num_heads
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
+        d = dict(d)
+        for key, value in LEGACY_CONFIG.items():
+            if d.pop(key, value) != value:
+                raise ValueError(f"unsupported {key}: only {value!r} is implemented")
         return cls(**d)
-
-
-def _layer_param_names(k):
-    base = f"layer{k}."
-    names = [base + n for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
-    names += [base + n for n in ("ln1_g", "ln1_b", "w1", "b1", "w2", "b2", "ln2_g", "ln2_b")]
-    return names
 
 
 class EncoderModel:
@@ -394,26 +385,38 @@ def save_checkpoint(model, path):
 
 
 def deserialize_model(blob):
+    """The model a checkpoint holds; ValueError on truncated or trailing bytes."""
     buf = io.BytesIO(blob)
-    if buf.read(4) != CHECKPOINT_MAGIC:
+
+    def take(n):
+        data = buf.read(n)
+        if len(data) != n:
+            raise ValueError("truncated checkpoint")
+        return data
+
+    def unpack(fmt):
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != CHECKPOINT_MAGIC:
         raise ValueError("not an encoder checkpoint (bad magic)")
-    (version,) = struct.unpack("<I", buf.read(4))
+    (version,) = unpack("<I")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
-    (hlen,) = struct.unpack("<I", buf.read(4))
-    header = json.loads(buf.read(hlen).decode("utf-8"))
+    (hlen,) = unpack("<I")
+    header = json.loads(take(hlen).decode("utf-8"))
     config = EncoderConfig.from_dict(header["config"])
     vocab = Vocabulary(header["vocab"])
-    (count,) = struct.unpack("<I", buf.read(4))
+    (count,) = unpack("<I")
     params = {}
     for _ in range(count):
-        (nlen,) = struct.unpack("<H", buf.read(2))
-        name = buf.read(nlen).decode("utf-8")
-        (ndim,) = struct.unpack("<B", buf.read(1))
-        shape = struct.unpack(f"<{ndim}I", buf.read(4 * ndim))
+        (nlen,) = unpack("<H")
+        name = take(nlen).decode("utf-8")
+        (ndim,) = unpack("<B")
+        shape = unpack(f"<{ndim}I")
         n = int(np.prod(shape)) if ndim else 1
-        arr = np.frombuffer(buf.read(8 * n), dtype="<f8").reshape(shape).copy()
-        params[name] = Tensor(arr)
+        params[name] = Tensor(np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).copy())
+    if buf.read(1):
+        raise ValueError("trailing bytes after checkpoint")
     return EncoderModel(config, vocab, params)
 
 

@@ -1,10 +1,10 @@
 """Unified negative mining.
 
-A built-in Okapi BM25 retriever over an inverted index, dense candidate
-generation from a trained retriever, a pluggable denoising scorer with a
-fixed relevance threshold, and hybrid assembly of training examples from
-denoised plus un-denoised candidates. Known positives of a query never
-survive into any sample.
+A built-in Okapi BM25 retriever over an inverted index, a pluggable
+denoising scorer with a fixed relevance threshold, and hybrid assembly of
+training examples from denoised plus un-denoised candidates. Dense
+candidates come from vector_index.DenseRetriever, re-exported here. Known
+positives of a query never survive into any sample.
 
 BM25 parameters k1=0.9, b=0.4; the non-negative idf variant
 ln((N - df + 0.5) / (df + 0.5) + 1). The index tokenizes with the same
@@ -22,6 +22,7 @@ import numpy as np
 
 from .tokenizer import content_words, tokenize_words
 from .training import TrainingExample
+from .vector_index import DenseRetriever  # noqa: F401  (re-exported for mine() callers)
 
 log = logging.getLogger(__name__)
 
@@ -86,44 +87,6 @@ def bm25_search(index, query_text, k):
             )
     ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
     return ranked[:k]
-
-
-# ---------------------------------------------------------------------------
-# Dense candidates
-# ---------------------------------------------------------------------------
-
-
-class DenseRetriever:
-    """Exact inner-product retrieval bound to one model/index pair.
-
-    Validates the index fingerprint against the model once, so per-query
-    calls stay cheap.
-    """
-
-    def __init__(self, index, model, prompts, role="query"):
-        fp = model.fingerprint()
-        if index.fingerprint != fp:
-            raise ValueError(
-                f"index was built with model {index.fingerprint[:12]}..., "
-                f"got {fp[:12]}..."
-            )
-        self.index = index
-        self.model = model
-        self.prompts = prompts
-        self.role = role
-
-    def __call__(self, query_text, k):
-        from .encoder import encode
-        from .vector_index import search
-
-        ids = self.model.vocab.encode(query_text, max_len=self.model.config.max_seq_len)
-        vec = encode(self.model, self.prompts, ids, role=self.role)
-        return search(self.index, vec, k)
-
-
-def dense_candidates(index, model, prompts, query_text, k, role="query"):
-    """One-shot dense top-k (builds the fingerprint-checked retriever)."""
-    return DenseRetriever(index, model, prompts, role=role)(query_text, k)
 
 
 # ---------------------------------------------------------------------------

@@ -17,22 +17,16 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor, backward
-from .encoder import (
-    MaskedSequence,
-    apply_mlm_masking,
-    encode_states,
-    mlm_logits,
-    prefix_kv,
-    save_checkpoint,
-)
-from .prompts import PromptSet, save_promptset
+from .dataio import write_json, write_jsonl
+from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
 from .tokenizer import MASK_ID, tokenize_words
+from .training import freeze, save_trained, unfreeze
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -76,16 +70,6 @@ class PretrainStepReport:
     combined: float
     learning_rate: float
     mean_partner_rank: float
-
-    def to_dict(self):
-        return {
-            "step": self.step,
-            "contrastive": self.contrastive,
-            "mlm": self.mlm,
-            "combined": self.combined,
-            "learning_rate": self.learning_rate,
-            "mean_partner_rank": self.mean_partner_rank,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +247,11 @@ def contrastive_loss(embeddings, pairing=None):
     ):
         raise ValueError("pairing must be a fixed-point-free involution")
 
-    scores = ad.matmul(rows, ad.transpose(rows))
-    losses = []
-    for a in range(n):
-        row = ad.slice_(scores, 0, a, a + 1)
-        pieces = []
-        if a > 0:
-            pieces.append(ad.slice_(row, 1, 0, a))
-        if a + 1 < n:
-            pieces.append(ad.slice_(row, 1, a + 1, n))
-        others = pieces[0] if len(pieces) == 1 else ad.concat(pieces, axis=1)
-        target = pairing[a] if pairing[a] < a else pairing[a] - 1
-        losses.append(ad.cross_entropy_rows(others, [target]))
-    return ad.average(losses)
+    # -inf on the diagonal takes each anchor out of its own softmax
+    self_mask = np.zeros((n, n))
+    np.fill_diagonal(self_mask, -np.inf)
+    scores = ad.add(ad.matmul(rows, ad.transpose(rows)), Tensor(self_mask))
+    return ad.cross_entropy_rows(scores, pairing)
 
 
 def partner_ranks(score_matrix, pairing=None):
@@ -361,26 +337,8 @@ def pretrain(corpus, model, config, prompts=None, out_dir=None):
             f"batch needs {m}"
         )
 
-    if config.mode == "backbone":
-        if prompts is not None:
-            raise ValueError("backbone mode pretrains the bare model; prompts must be None")
-        model.set_trainable(True)
-        if config.mask_rate > 0:
-            params = model.parameters()
-        else:
-            model.params["mlm_bias"].requires_grad = False
-            params = model.encoder_parameters()
-    else:
-        model.set_trainable(False)
-        if prompts is None:
-            cfg = model.config
-            prompts = PromptSet.create(
-                "pretrain", cfg.prompt_length, cfg.hidden_size, cfg.num_layers,
-                reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden,
-                seed=config.seed,
-            )
-        prompts.set_trainable(True)
-        params = prompts.parameters()
+    prompts, params = unfreeze(model, prompts, config.mode, config.seed,
+                               task_name="pretrain", mlm=config.mask_rate > 0)
 
     log = []
     if config.epochs > 0:
@@ -400,9 +358,7 @@ def pretrain(corpus, model, config, prompts=None, out_dir=None):
                     prepared, config.unit, m, rng, model.vocab,
                     model.config.max_seq_len, mask_rate=config.mask_rate,
                 )
-                loss, rep = rip_loss(
-                    batch, model, prompts if config.mode == "prompts_only" else None,
-                )
+                loss, rep = rip_loss(batch, model, prompts)
                 if not math.isfinite(rep["combined"]):
                     raise RuntimeError(
                         f"pretrain: non-finite loss at step {optimizer.step_count + 1}"
@@ -415,26 +371,13 @@ def pretrain(corpus, model, config, prompts=None, out_dir=None):
                     **rep,
                 ))
             if out_dir is not None:
-                _save_epoch(model, prompts, config, out_dir, epoch)
+                save_trained(model, prompts, out_dir, f"model_epoch{epoch}.ckpt",
+                             f"prompts_epoch{epoch}.json")
 
-    model.set_trainable(False)
-    if prompts is not None:
-        prompts.set_trainable(False)
+    freeze(model, prompts)
     if out_dir is not None:
-        from .dataio import write_json, write_jsonl
-
-        write_jsonl([r.to_dict() for r in log], os.path.join(out_dir, "pretrain_log.jsonl"))
+        write_jsonl([asdict(r) for r in log], os.path.join(out_dir, "pretrain_log.jsonl"))
         write_json(prepared.skip_report, os.path.join(out_dir, "skip_report.json"))
-        if config.mode == "backbone":
-            save_checkpoint(model, os.path.join(out_dir, "model.ckpt"))
-        else:
-            save_promptset(prompts, os.path.join(out_dir, "pretrained_prompts.json"))
+        save_trained(model, prompts, out_dir, "model.ckpt", "pretrained_prompts.json")
     return PretrainResult(model=model, prompts=prompts, log=log,
                           skip_report=prepared.skip_report)
-
-
-def _save_epoch(model, prompts, config, out_dir, epoch):
-    if config.mode == "backbone":
-        save_checkpoint(model, os.path.join(out_dir, f"model_epoch{epoch}.ckpt"))
-    else:
-        save_promptset(prompts, os.path.join(out_dir, f"prompts_epoch{epoch}.json"))

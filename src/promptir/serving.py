@@ -19,7 +19,10 @@ vector is a JSON number array at the requested precision; with
 ``Accept: application/octet-stream`` the body is instead the raw
 little-endian float32 array and metadata moves into response headers.
 
-Errors are JSON {"code", "message", "detail"} with 4xx status codes.
+Errors are JSON {"code", "message", "detail"} with 4xx status codes. A
+body that is not a JSON object, or a Content-Length that is not a
+non-negative integer, gets 400 bad_request; in the latter case the body is
+not read and the connection closes.
 """
 
 from __future__ import annotations
@@ -30,12 +33,10 @@ import logging
 import threading
 import time
 import urllib.request
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 
-from .autodiff import Tensor
 from .encoder import encode_states, prefix_kv
 from .prompts import promptset_from_json
 from .tokenizer import CLS_ID
@@ -55,28 +56,16 @@ class ServiceError(Exception):
         return {"code": self.code, "message": self.message, "detail": self.detail}
 
 
-@dataclass
-class PromptRegistryEntry:
-    prompt_id: str
-    task_name: str
-    promptset: object
-    prefix_by_role: dict  # role -> [(K ndarray, V ndarray)] per layer
-    created_at: float
+def _project_prefix(model, promptset, role):
+    """One role group's prefix K/V through the frozen weights, or None.
 
-
-def _project_prefix(model, promptset):
-    """Precompute prefix K/V arrays per role through the frozen weights.
-
-    This is encoder.prefix_kv, run once at registration rather than per
-    request; tests/test_serving.py checks served vectors against encode().
+    This is encoder.prefix_kv; with the backbone frozen and a prompt set
+    loaded from JSON nothing requires a gradient, so the pairs carry no
+    tape. tests/test_serving.py checks served vectors against encode().
     """
-    out = {}
     if promptset.prompt_length == 0:
-        return {role: None for role in promptset.roles}
-    for role in promptset.roles:
-        pairs = prefix_kv(model, promptset.realize(role))
-        out[role] = [(k.data, v.data) for k, v in pairs]
-    return out
+        return None
+    return prefix_kv(model, promptset.realize(role))
 
 
 class EncodingService:
@@ -86,7 +75,7 @@ class EncodingService:
         model.set_trainable(False)
         self.model = model
         self.fingerprint = model.fingerprint()
-        self._registry = {}
+        self._registry = {}  # prompt_id -> (prompt set, {role group: prefix})
         self._ids = itertools.count()
         self._lock = threading.Lock()
 
@@ -106,23 +95,11 @@ class EncodingService:
 
     def register(self, doc):
         ps = self._parse_promptset(doc)
-        prefix_by_role = _project_prefix(self.model, ps)
+        prefixes = {role: _project_prefix(self.model, ps, role) for role in ps.roles}
         with self._lock:
             prompt_id = f"prompt-{next(self._ids):04d}"
-            self._registry[prompt_id] = PromptRegistryEntry(
-                prompt_id=prompt_id,
-                task_name=ps.task_name,
-                promptset=ps,
-                prefix_by_role=prefix_by_role,
-                created_at=time.time(),
-            )
+            self._registry[prompt_id] = (ps, prefixes)
         return prompt_id
-
-    def registry_entry(self, prompt_id):
-        entry = self._registry.get(prompt_id)
-        if entry is None:
-            raise ServiceError(404, "unknown_prompt", f"no prompt {prompt_id!r}")
-        return entry
 
     # -- encoding -------------------------------------------------------------
 
@@ -137,14 +114,14 @@ class EncodingService:
         role = request.get("role", "query")
         if role not in ("query", "passage"):
             raise ServiceError(400, "bad_request", f"unknown role {role!r}")
-        if has_id:
-            entry = self.registry_entry(request["prompt_id"])
-            ps = entry.promptset
-            prefix = entry.prefix_by_role[ps.resolve_role(role)]
-        else:
+        if has_inline:
             ps = self._parse_promptset(request["inline_prompt"])
-            prefix = _project_prefix(self.model, ps)[ps.resolve_role(role)]
-        return prefix
+            return _project_prefix(self.model, ps, ps.resolve_role(role))
+        entry = self._registry.get(request["prompt_id"])
+        if entry is None:
+            raise ServiceError(404, "unknown_prompt", f"no prompt {request['prompt_id']!r}")
+        ps, prefixes = entry
+        return prefixes[ps.resolve_role(role)]
 
     def _resolve_tokens(self, request):
         has_text = "text" in request
@@ -175,11 +152,8 @@ class EncodingService:
 
     def encode_vector(self, request):
         """The d-dim float64 vector for an EncodeRequest dict."""
-        prefix_np = self._resolve_prefix(request)
+        prefix = self._resolve_prefix(request)
         ids = self._resolve_tokens(request)
-        prefix = None
-        if prefix_np is not None:
-            prefix = [(Tensor(k), Tensor(v)) for k, v in prefix_np]
         states, _ = encode_states(self.model, [ids], prefix=prefix)
         return states.data[0].copy()
 
@@ -222,26 +196,29 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         log.debug("%s - %s", self.address_string(), fmt % args)
 
-    def _send_json(self, status, obj, extra_headers=None):
+    def _send_json(self, status, obj):
         body = json.dumps(obj, sort_keys=True).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        for key, value in (extra_headers or {}).items():
-            self.send_header(key, value)
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_service_error(self, err):
-        self._send_json(err.status, err.to_body())
-
     def _read_json(self):
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length)
+        length = self.headers.get("Content-Length", "0")
+        if not (length.isascii() and length.isdigit()):
+            self.close_connection = True  # the unread body would be taken for the next request
+            raise ServiceError(400, "bad_request", f"bad Content-Length {length!r}")
+        raw = self.rfile.read(int(length))
         try:
-            return json.loads(raw.decode("utf-8"))
+            doc = json.loads(raw.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ServiceError(400, "bad_request", f"body is not valid JSON: {exc}")
+        if not isinstance(doc, dict):
+            raise ServiceError(400, "bad_request", "body must be a JSON object")
+        return doc
 
     def do_GET(self):
         if self.path == "/health":
@@ -278,7 +255,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(404, {"code": "not_found", "message": self.path,
                                       "detail": {}})
         except ServiceError as err:
-            self._send_service_error(err)
+            self._send_json(err.status, err.to_body())
         except Exception as exc:  # defensive: never drop the connection silently
             log.exception("unhandled error")
             self._send_json(500, {"code": "internal_error", "message": str(exc),

@@ -7,19 +7,22 @@ positive and mined negatives join each query's denominator; any candidate
 that is a known positive of the query is masked out.
 
 Two modes: "dpt" trains only the prompt set against a frozen backbone;
-"ft" trains the full backbone without prompts.
+"ft" trains the full backbone without prompts. unfreeze, freeze and
+save_trained decide which weights train and what gets written, for this
+loop and for pretrain's.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, backward
+from .dataio import write_jsonl
 from .encoder import pooled, prefix_kv, save_checkpoint
 from .prompts import PromptSet, save_promptset
 
@@ -68,14 +71,6 @@ class TrainStepReport:
     learning_rate: float
     grad_norm: float
 
-    def to_dict(self):
-        return {
-            "step": self.step,
-            "loss": self.loss,
-            "learning_rate": self.learning_rate,
-            "grad_norm": self.grad_norm,
-        }
-
 
 class TrainingDivergedError(RuntimeError):
     def __init__(self, example_ids, value):
@@ -100,6 +95,46 @@ def nll_loss(pos_score, neg_scores):
     m = scores.max()
     lse = m + math.log(np.exp(scores - m).sum())
     return float(lse - scores[0])
+
+
+def unfreeze(model, prompts, mode, seed, task_name="task", separate_roles=False, mlm=False):
+    """Set which weights train; returns (prompts, trainable parameters).
+
+    The backbone modes ("ft", "backbone") train the model and forbid
+    prompts; the MLM head's bias trains only with mlm, since it is not on
+    the encode path. The prompt modes freeze the model and train the prompt
+    set, created with the model's prompt geometry when prompts is None.
+    """
+    if mode in ("ft", "backbone"):
+        if prompts is not None:
+            raise ValueError(f"{mode} mode trains the backbone; prompts must be None")
+        model.set_trainable(True)
+        model.params["mlm_bias"].requires_grad = mlm
+        return None, model.parameters() if mlm else model.encoder_parameters()
+    model.set_trainable(False)
+    if prompts is None:
+        cfg = model.config
+        prompts = PromptSet.create(
+            task_name, cfg.prompt_length, cfg.hidden_size, cfg.num_layers,
+            reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden,
+            separate_roles=separate_roles, seed=seed,
+        )
+    prompts.set_trainable(True)
+    return prompts, prompts.parameters()
+
+
+def freeze(model, prompts):
+    model.set_trainable(False)
+    if prompts is not None:
+        prompts.set_trainable(False)
+
+
+def save_trained(model, prompts, out_dir, ckpt_name, prompts_name):
+    """Write what trained: the prompt set if there is one, else the backbone."""
+    if prompts is not None:
+        save_promptset(prompts, os.path.join(out_dir, prompts_name))
+    else:
+        save_checkpoint(model, os.path.join(out_dir, ckpt_name))
 
 
 def _grad_norm(params):
@@ -232,23 +267,8 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
     if isinstance(corpus_texts, list):
         corpus_texts = dict(corpus_texts)
 
-    if config.mode == "ft":
-        if prompts is not None:
-            raise ValueError("ft mode trains the backbone; prompts must be None")
-        model.set_trainable(True)
-        model.params["mlm_bias"].requires_grad = False  # not on the encode path
-        train_params = model.encoder_parameters()
-    else:
-        model.set_trainable(False)
-        if prompts is None:
-            cfg = model.config
-            prompts = PromptSet.create(
-                "task", cfg.prompt_length, cfg.hidden_size, cfg.num_layers,
-                reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden,
-                separate_roles=config.separate_prompts, seed=config.seed,
-            )
-        prompts.set_trainable(True)
-        train_params = prompts.parameters()
+    prompts, train_params = unfreeze(model, prompts, config.mode, config.seed,
+                                     separate_roles=config.separate_prompts)
 
     positives_of = {}
     for ex in dataset:
@@ -267,37 +287,21 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
             warmup_ratio=config.warmup_ratio,
             total_steps=config.epochs * n_batches,
         )
-        cache = _EncoderCache(model, prompts if config.mode == "dpt" else None)
+        cache = _EncoderCache(model, prompts)
         rng = np.random.default_rng(config.seed)
         for epoch in range(config.epochs):
             order = rng.permutation(len(dataset))
             for b in range(n_batches):
                 idx = order[b * config.batch_size:(b + 1) * config.batch_size]
                 batch = [dataset[int(i)] for i in idx]
-                report = train_step(
-                    batch, model, prompts if config.mode == "dpt" else None,
-                    config, optimizer, corpus_texts, positives_of, cache,
-                )
-                log.append(report)
+                log.append(train_step(batch, model, prompts, config, optimizer,
+                                      corpus_texts, positives_of, cache))
             if out_dir is not None:
-                _save_epoch(model, prompts, config, out_dir, epoch)
+                save_trained(model, prompts, out_dir, f"model_epoch{epoch}.ckpt",
+                             f"prompts_epoch{epoch}.json")
 
-    model.set_trainable(False)
-    if prompts is not None:
-        prompts.set_trainable(False)
+    freeze(model, prompts)
     if out_dir is not None:
-        from .dataio import write_jsonl
-
-        write_jsonl([r.to_dict() for r in log], os.path.join(out_dir, "train_log.jsonl"))
-        if config.mode == "dpt":
-            save_promptset(prompts, os.path.join(out_dir, "prompts.json"))
-        else:
-            save_checkpoint(model, os.path.join(out_dir, "model_ft.ckpt"))
+        write_jsonl([asdict(r) for r in log], os.path.join(out_dir, "train_log.jsonl"))
+        save_trained(model, prompts, out_dir, "model_ft.ckpt", "prompts.json")
     return TrainResult(model=model, prompts=prompts, log=log)
-
-
-def _save_epoch(model, prompts, config, out_dir, epoch):
-    if config.mode == "dpt":
-        save_promptset(prompts, os.path.join(out_dir, f"prompts_epoch{epoch}.json"))
-    else:
-        save_checkpoint(model, os.path.join(out_dir, f"model_epoch{epoch}.ckpt"))

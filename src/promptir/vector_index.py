@@ -2,8 +2,9 @@
 
 No approximation anywhere: search is a full matrix-vector product plus an
 exact sort. Ties break by ascending passage id. The index records the
-fingerprint of the model that produced it; searches through a mismatched
-model are rejected upstream.
+fingerprint of the model that produced it. DenseRetriever is the one query
+path (fingerprint check, tokenize, encode, search); run_queries loops over
+it and mining uses it as its dense retriever.
 
 Index file layout (little-endian): magic "DPTI" | u32 version | u32 d
 | u64 count | u16 fingerprint_len | fingerprint utf-8 | f32 matrix
@@ -88,20 +89,34 @@ def search(index, query_vector, k):
     return [(index.passage_ids[int(i)], float(scores[int(i)])) for i in order]
 
 
+class DenseRetriever:
+    """Exact inner-product retrieval bound to one model/index pair.
+
+    Validates the index fingerprint against the model once, so per-query
+    calls stay cheap.
+    """
+
+    def __init__(self, index, model, prompts, role="query"):
+        fp = model.fingerprint()
+        if index.fingerprint != fp:
+            raise ValueError(
+                f"index was built with model {index.fingerprint[:12]}..., "
+                f"got {fp[:12]}..."
+            )
+        self.index = index
+        self.model = model
+        self.prompts = prompts
+        self.role = role
+
+    def __call__(self, query_text, k):
+        ids = self.model.vocab.encode(query_text, max_len=self.model.config.max_seq_len)
+        return search(self.index, encode(self.model, self.prompts, ids, role=self.role), k)
+
+
 def run_queries(index, model, prompts, queries, k, role="query"):
     """Search every (qid, text) query; returns RetrievalResults in order."""
-    fp = model.fingerprint()
-    if index.fingerprint != fp:
-        raise ValueError(
-            f"index was built with model {index.fingerprint[:12]}..., "
-            f"got {fp[:12]}..."
-        )
-    results = []
-    for qid, text in queries:
-        ids = model.vocab.encode(text, max_len=model.config.max_seq_len)
-        vec = encode(model, prompts, ids, role=role)
-        results.append(RetrievalResult(query_id=qid, ranking=search(index, vec, k)))
-    return results
+    retrieve = DenseRetriever(index, model, prompts, role=role)
+    return [RetrievalResult(query_id=qid, ranking=retrieve(text, k)) for qid, text in queries]
 
 
 def save_index(index, path):

@@ -1,9 +1,12 @@
-"""Golden embeddings and DPT loss trajectories of the tiny test backbones.
+"""Golden embeddings and training-loss trajectories of the tiny test backbones.
 
-``golden_values()`` computes them through the public API; the stored
-values in ``tests/data/golden.json`` were recorded with the per-sequence,
-per-head forward that preceded the packed one, so test_golden.py pins the
-packed forward to it. Regenerate only on a deliberate numerical change:
+``golden_values()`` computes them through the public API. The stored
+embeddings and DPT/ft losses in ``tests/data/golden.json`` were recorded
+with the per-sequence, per-head forward that preceded the packed one; the
+RIP trajectories with the per-anchor contrastive loss and the separate
+pretraining loop that preceded the shared training skeleton. So
+test_golden.py pins the current code to both. Regenerate only on a
+deliberate numerical change:
 
     PYTHONPATH=src:tests python tests/golden.py
 """
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from promptir.encoder import encode
+from promptir.pretrain import PretrainConfig, pretrain
 from promptir.tokenizer import Vocabulary
 from promptir.training import TrainConfig, TrainingExample, train
 
@@ -40,6 +44,10 @@ TRAJECTORIES = {
     "dpt_separate": ("separate", "dpt"),
     "dpt_mlp": ("mlp", "dpt"),
 }
+
+# one RIP trajectory per pretraining mode; prompts_only creates its prompt set
+RIP_MODES = ("backbone", "prompts_only")
+RIP_TERMS = ("contrastive", "mlm", "combined")
 
 
 def build(case):
@@ -82,6 +90,15 @@ def golden_values():
                              separate_prompts=case == "separate")
         result = train(examples[:4], corpus, model, prompts, config)
         out["losses"][name] = [r.loss for r in result.log]
+    # two sentences per passage, so every passage yields a unit pair
+    rip_corpus = [(f"p{i}", f"{TINY_TEXTS[i]} {TINY_TEXTS[(i + 1) % 8]}") for i in range(8)]
+    out["rip"] = {}
+    for mode in RIP_MODES:
+        model, _ = build("none")
+        config = PretrainConfig(mode=mode, epochs=5, batch_size=8, learning_rate=1e-2,
+                                warmup_ratio=0.0, seed=2)
+        result = pretrain(rip_corpus, model, config)
+        out["rip"][mode] = {term: [getattr(r, term) for r in result.log] for term in RIP_TERMS}
     return out
 
 

@@ -1,6 +1,7 @@
 """Encoder forward contracts: prompt prefix behavior, pooling, MLM,
 parameter partition, and checkpoint round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -364,6 +365,40 @@ class TestSerialization:
         b = [m.data for m in loaded.realize("passage")]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    def test_truncated_checkpoint_rejected(self, tiny_model):
+        blob = serialize_model(tiny_model)
+        rng = np.random.default_rng(0)
+        # every field boundary of the fixed prefix, then random cuts
+        for n in sorted({0, 2, 4, 6, 8, 10, 12, 14, len(blob) - 1,
+                         *rng.integers(0, len(blob), size=40).tolist()}):
+            with pytest.raises(ValueError):
+                deserialize_model(blob[:n])
+
+    def test_trailing_byte_rejected(self, tiny_model):
+        with pytest.raises(ValueError, match="trailing"):
+            deserialize_model(serialize_model(tiny_model) + b"\x00")
+
+    @staticmethod
+    def with_config(blob, **fields):
+        """The checkpoint blob with its header config updated by fields."""
+        hlen = int.from_bytes(blob[8:12], "little")
+        header = json.loads(blob[12:12 + hlen])
+        header["config"].update(fields)
+        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + hlen:]
+
+    def test_legacy_config_fields_load_at_their_one_value(self, tiny_model):
+        blob = self.with_config(serialize_model(tiny_model), dropout_rate=0.0,
+                                pooling="first_token")
+        loaded = deserialize_model(blob)
+        assert loaded.config == tiny_model.config
+        assert loaded.fingerprint() == tiny_model.fingerprint()
+
+    @pytest.mark.parametrize("fields", [{"dropout_rate": 0.1}, {"pooling": "mean"}])
+    def test_legacy_config_fields_other_values_rejected(self, tiny_model, fields):
+        with pytest.raises(ValueError, match=next(iter(fields))):
+            deserialize_model(self.with_config(serialize_model(tiny_model), **fields))
 
     def test_fingerprint_tracks_weights(self, tiny_model):
         fp1 = tiny_model.fingerprint()

@@ -1,16 +1,17 @@
-"""The packed forward against values recorded from the per-sequence forward.
+"""Current code against values recorded from earlier, equivalent code.
 
-Embeddings and 5-step training-loss trajectories of the tiny backbones
-(tests/golden.py) must stay within GATE relative difference of
-tests/data/golden.json: the packed forward sums in a different order, so
-it agrees to rounding, not bitwise.
+Embeddings, 5-step DPT/ft loss trajectories and 5-step RIP trajectories of
+the tiny backbones (tests/golden.py) must stay within GATE relative
+difference of tests/data/golden.json: the packed forward and the one
+cross-entropy contrastive loss sum in a different order than the code that
+recorded them, so they agree to rounding, not bitwise.
 """
 
 import json
 
 import pytest
 
-from golden import CASES, PATH, TRAJECTORIES, golden_values, relative_error
+from golden import CASES, PATH, RIP_MODES, RIP_TERMS, TRAJECTORIES, golden_values, relative_error
 
 GATE = 1e-10
 WANT = json.loads(PATH.read_text())
@@ -33,6 +34,15 @@ def test_embeddings(got, case, role):
 @pytest.mark.parametrize("name", sorted(TRAJECTORIES))
 def test_loss_trajectory(got, name):
     losses = list(zip(got["losses"][name], WANT["losses"][name], strict=True))
+    assert len(losses) == 5
+    for a, b in losses:
+        assert relative_error(a, b) <= GATE
+
+
+@pytest.mark.parametrize("mode", RIP_MODES)
+@pytest.mark.parametrize("term", RIP_TERMS)
+def test_rip_trajectory(got, mode, term):
+    losses = list(zip(got["rip"][mode][term], WANT["rip"][mode][term], strict=True))
     assert len(losses) == 5
     for a, b in losses:
         assert relative_error(a, b) <= GATE

@@ -12,12 +12,12 @@ from promptir.mining import (
     BM25_K1,
     ConstantScorer,
     DenoiseScorer,
+    DenseRetriever,
     LexicalOverlapScorer,
     NegativePool,
     assemble,
     bm25_build,
     bm25_search,
-    dense_candidates,
     denoise,
     merge_candidates,
     mine,
@@ -118,7 +118,7 @@ class TestDenseCandidates:
                   for i in range(30)]
         index = encode_corpus(corpus, model, prompts)
         query = "the cat sat"
-        got = dense_candidates(index, model, prompts, query, 10)
+        got = DenseRetriever(index, model, prompts)(query, 10)
 
         qvec = encode(model, prompts, model.vocab.encode(query), role="query")
         brute = []
@@ -134,7 +134,7 @@ class TestDenseCandidates:
         model = make_tiny_model(tiny_vocab)
         corpus = [("p0", "the cat"), ("p1", "the dog")]
         index = encode_corpus(corpus, model, None)
-        assert len(dense_candidates(index, model, None, "cat", 100)) == 2
+        assert len(DenseRetriever(index, model, None)("cat", 100)) == 2
 
     def test_fingerprint_mismatch_rejected(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, seed=0)
@@ -142,7 +142,7 @@ class TestDenseCandidates:
         corpus = [("p0", "the cat"), ("p1", "the dog")]
         index = encode_corpus(corpus, model, None)
         with pytest.raises(ValueError, match="built with model"):
-            dense_candidates(index, other, None, "cat", 1)
+            DenseRetriever(index, other, None)
 
 
 def ranked_retriever(pids):

@@ -4,15 +4,18 @@ Served vectors must equal encoder.encode: bitwise with precision f64, and
 to float32 rounding for JSON f32 and application/octet-stream replies.
 """
 
+import http.client
 import json
 import urllib.error
+from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
 from promptir.encoder import encode
 from promptir.prompts import PromptSet, promptset_to_json
-from promptir.serving import get_json, post_json, running_server
+from promptir import serving
+from promptir.serving import EncodingService, get_json, post_json, running_server
 from promptir.tokenizer import CLS_ID, SEP_ID
 
 from conftest import make_tiny_model, make_tiny_prompts
@@ -125,3 +128,48 @@ class TestRequests:
         srv, model, _, _ = served
         assert get_json(srv.base_url + "/health") == {"status": "ok",
                                                        "fingerprint": model.fingerprint()}
+
+
+class TestTransport:
+    @pytest.mark.parametrize("path, body", [("/prompts", []), ("/encode", 5),
+                                            ("/encode", "the cat")])
+    def test_non_object_body_is_400(self, served, path, body):
+        srv, _, _, _ = served
+        status, reply = post_error(srv.base_url + path, body)
+        assert status == 400 and reply["code"] == "bad_request"
+
+    @pytest.mark.parametrize("length", ["-1", "abc", "1.5", ""])
+    def test_bad_content_length_is_400_without_reading(self, served, length):
+        srv, _, _, _ = served
+        url = urlsplit(srv.base_url)
+        # a server that tried to read the body would block past the timeout
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        try:
+            conn.putrequest("POST", "/encode", skip_accept_encoding=True)
+            conn.putheader("Content-Length", length)
+            conn.endheaders()
+            resp = conn.getresponse()
+            reply = json.loads(resp.read().decode("utf-8"))
+        finally:
+            conn.close()
+        assert resp.status == 400 and reply["code"] == "bad_request"
+        assert resp.getheader("Connection") == "close"
+
+
+@pytest.mark.parametrize("role", ["query", "passage"])
+def test_inline_prompt_projects_one_role(served, monkeypatch, role):
+    _, model, sets, _ = served
+    original, calls = serving.prefix_kv, []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(serving, "prefix_kv", counted)
+    service = EncodingService(model)
+    request = {"text": TEXTS[0], "role": role, "precision": "f64",
+               "inline_prompt": promptset_to_json(sets["separate"])}
+    vec = service.encode_vector(request)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(
+        vec, encode(model, sets["separate"], model.vocab.encode(TEXTS[0]), role=role))
