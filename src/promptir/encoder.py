@@ -123,35 +123,29 @@ class EncoderModel:
         return hashlib.sha256(serialize_model(self)).hexdigest()
 
 
-def init_model(config, vocab, seed=0):
-    """Fresh backbone with N(0, 0.02) weights, zero biases, unit gains."""
-    rng = np.random.default_rng(seed)
+def param_shapes(config):
+    """{name: shape} of the backbone's parameters, in initialization order."""
     d, ffn, v = config.hidden_size, config.ffn_size, config.vocab_size
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, 0.02, size=shape))
-
-    params = {
-        "tok_emb": w(v, d),
-        "pos_emb": w(config.max_seq_len, d),
-        "emb_ln_g": Tensor(np.ones(d)),
-        "emb_ln_b": Tensor(np.zeros(d)),
-        "mlm_bias": Tensor(np.zeros(v)),
-    }
+    shapes = {"tok_emb": (v, d), "pos_emb": (config.max_seq_len, d), "emb_ln_g": (d,),
+              "emb_ln_b": (d,), "mlm_bias": (v,)}
     for k in range(config.num_layers):
         base = f"layer{k}."
-        for name in ("wq", "wk", "wv", "wo"):
-            params[base + name] = w(d, d)
-        for name in ("bq", "bk", "bv", "bo"):
-            params[base + name] = Tensor(np.zeros(d))
-        params[base + "ln1_g"] = Tensor(np.ones(d))
-        params[base + "ln1_b"] = Tensor(np.zeros(d))
-        params[base + "w1"] = w(d, ffn)
-        params[base + "b1"] = Tensor(np.zeros(ffn))
-        params[base + "w2"] = w(ffn, d)
-        params[base + "b2"] = Tensor(np.zeros(d))
-        params[base + "ln2_g"] = Tensor(np.ones(d))
-        params[base + "ln2_b"] = Tensor(np.zeros(d))
+        shapes.update({base + name: (d, d) for name in ("wq", "wk", "wv", "wo")})
+        shapes.update({base + name: (d,) for name in ("bq", "bk", "bv", "bo", "ln1_g", "ln1_b")})
+        shapes.update({base + "w1": (d, ffn), base + "b1": (ffn,), base + "w2": (ffn, d),
+                       base + "b2": (d,), base + "ln2_g": (d,), base + "ln2_b": (d,)})
+    return shapes
+
+
+def init_model(config, vocab, seed=0):
+    """Fresh backbone with N(0, 0.02) matrices, unit gains (*_g) and zero biases."""
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(config).items():
+        if len(shape) == 2:
+            params[name] = Tensor(rng.normal(0.0, 0.02, size=shape))
+        else:
+            params[name] = Tensor(np.ones(shape) if name.endswith("_g") else np.zeros(shape))
     return EncoderModel(config, vocab, params)
 
 
@@ -240,11 +234,6 @@ def pooled(model, sequences, prefix=None):
     return ad.embedding_gather(states, offsets[:-1])
 
 
-def encode_tokens(model, prompts, token_ids, role="query"):
-    """First-token embedding as a 1 x d graph tensor (training path)."""
-    return pooled(model, [token_ids], role_prefix(model, prompts, role))
-
-
 def encode_batch(model, prompts, sequences, role="query"):
     """Inference encode of a batch: (n, d) first-token vectors as ndarray.
 
@@ -315,36 +304,6 @@ def mlm_loss(model, batch, prompts=None, role="query"):
 
 
 # ---------------------------------------------------------------------------
-# Parameter partition
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ParamPartition:
-    frozen_count: int
-    trainable_count: int
-
-    @property
-    def ratio(self):
-        total = self.frozen_count + self.trainable_count
-        return self.trainable_count / total if total else 0.0
-
-
-def backbone_param_count(config):
-    """Closed-form backbone parameter count for a config."""
-    d, ffn, v = config.hidden_size, config.ffn_size, config.vocab_size
-    per_layer = 4 * (d * d + d) + (d * ffn + ffn) + (ffn * d + d) + 4 * d
-    return v * d + config.max_seq_len * d + 2 * d + v + config.num_layers * per_layer
-
-
-def param_partition(model, prompts):
-    """Exact trainable/frozen split for prompt tuning on this model."""
-    frozen = sum(p.size for p in model.parameters())
-    trainable = 0 if prompts is None else sum(p.size for p in prompts.parameters())
-    return ParamPartition(frozen_count=frozen, trainable_count=trainable)
-
-
-# ---------------------------------------------------------------------------
 # Checkpoint serialization
 # ---------------------------------------------------------------------------
 #
@@ -385,7 +344,11 @@ def save_checkpoint(model, path):
 
 
 def deserialize_model(blob):
-    """The model a checkpoint holds; ValueError on truncated or trailing bytes."""
+    """The model a checkpoint holds.
+
+    ValueError on truncated or trailing bytes, a malformed header, and
+    arrays whose names or shapes differ from param_shapes(config).
+    """
     buf = io.BytesIO(blob)
 
     def take(n):
@@ -403,9 +366,12 @@ def deserialize_model(blob):
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
     (hlen,) = unpack("<I")
-    header = json.loads(take(hlen).decode("utf-8"))
-    config = EncoderConfig.from_dict(header["config"])
-    vocab = Vocabulary(header["vocab"])
+    try:
+        header = json.loads(take(hlen).decode("utf-8"))
+        config = EncoderConfig.from_dict(header["config"])
+        vocab = Vocabulary(header["vocab"])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad checkpoint header: {exc!r}") from exc
     (count,) = unpack("<I")
     params = {}
     for _ in range(count):
@@ -417,6 +383,11 @@ def deserialize_model(blob):
         params[name] = Tensor(np.frombuffer(take(8 * n), dtype="<f8").reshape(shape).copy())
     if buf.read(1):
         raise ValueError("trailing bytes after checkpoint")
+    expected = param_shapes(config)
+    shapes = {name: t.shape for name, t in params.items()}
+    if shapes != expected:
+        wrong = sorted(shapes.items() ^ expected.items())
+        raise ValueError(f"checkpoint arrays differ from the config's layout: {wrong[:4]}")
     return EncoderModel(config, vocab, params)
 
 

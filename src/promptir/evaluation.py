@@ -1,9 +1,11 @@
 """Retrieval metrics and representation-quality diagnostics.
 
-MRR@k and Recall@k over qrels, plus the alignment/uniformity pair of
-representation measures (squared-distance alignment with alpha=2,
-log-mean-exp uniformity with t=2, computed on L2-normalized vectors by
-default; a no-normalize mode is provided for diagnostics on raw spaces).
+MRR@k and Recall@k of vector_index.RetrievalResults over qrels, plus the
+alignment/uniformity pair of representation measures (squared-distance
+alignment with alpha=2, log-mean-exp uniformity with t=2, computed on
+L2-normalized vectors by default; a no-normalize mode is provided for
+diagnostics on raw spaces). Reports are returned as dataclasses; nothing
+here writes a file.
 """
 
 from __future__ import annotations
@@ -14,16 +16,8 @@ import numpy as np
 
 
 def _as_rankings(results):
-    """Normalize input to {query_id: [passage_id, ...]} in rank order."""
-    if isinstance(results, dict):
-        out = {}
-        for qid, ranking in results.items():
-            out[qid] = [p[0] if isinstance(p, (tuple, list)) else p for p in ranking]
-        return out
-    out = {}
-    for res in results:
-        out[res.query_id] = [pid for pid, _score in res.ranking]
-    return out
+    """{query_id: [passage_id, ...]} in rank order from RetrievalResults."""
+    return {res.query_id: [pid for pid, _score in res.ranking] for res in results}
 
 
 def _check_qrels(rankings, qrels):
@@ -74,14 +68,6 @@ class EvalReport:
     per_query_rr: dict
     query_count: int
 
-    def to_dict(self):
-        return {
-            "mrr@10": self.mrr10,
-            **{f"recall@{k}": v for k, v in sorted(self.recalls.items())},
-            "per_query_rr": dict(sorted(self.per_query_rr.items())),
-            "query_count": self.query_count,
-        }
-
 
 def evaluate(results, qrels, recall_cuts=(5, 20, 100, 1000)):
     mrr, per_query = mrr_at_k(results, qrels, k=10)
@@ -103,14 +89,6 @@ class RepresentationQuality:
     l_uniform: float
     pair_count: int
     normalized: bool
-
-    def to_dict(self):
-        return {
-            "l_align": self.l_align,
-            "l_uniform": self.l_uniform,
-            "pair_count": self.pair_count,
-            "normalized": self.normalized,
-        }
 
 
 def _l2_normalize(x):

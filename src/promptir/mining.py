@@ -1,10 +1,13 @@
 """Unified negative mining.
 
-A built-in Okapi BM25 retriever over an inverted index, a pluggable
-denoising scorer with a fixed relevance threshold, and hybrid assembly of
-training examples from denoised plus un-denoised candidates. Dense
-candidates come from vector_index.DenseRetriever, re-exported here. Known
-positives of a query never survive into any sample.
+A built-in Okapi BM25 retriever over an inverted index, denoising with a
+fixed relevance threshold, and hybrid assembly of training examples from
+denoised plus un-denoised candidates. Dense candidates come from
+vector_index.DenseRetriever, re-exported here. A denoising scorer is any
+object with score(query_text, passage_text) -> relevance in [0, 1];
+LexicalOverlapScorer is the built-in one. Pools live in memory and are
+not written out. Known positives of a query never survive into any
+sample.
 
 BM25 parameters k1=0.9, b=0.4; the non-negative idf variant
 ln((N - df + 0.5) / (df + 0.5) + 1). The index tokenizes with the same
@@ -90,18 +93,11 @@ def bm25_search(index, query_text, k):
 
 
 # ---------------------------------------------------------------------------
-# Denoising scorers
+# Denoising scorer
 # ---------------------------------------------------------------------------
 
 
-class DenoiseScorer:
-    """Relevance scorer in [0, 1]; higher means more likely relevant."""
-
-    def score(self, query_text, passage_text):
-        raise NotImplementedError
-
-
-class LexicalOverlapScorer(DenoiseScorer):
+class LexicalOverlapScorer:
     """|query ∩ passage| / |query| over unique content words."""
 
     def score(self, query_text, passage_text):
@@ -110,14 +106,6 @@ class LexicalOverlapScorer(DenoiseScorer):
             return 0.0
         p = set(content_words(passage_text))
         return len(q & p) / len(q)
-
-
-class ConstantScorer(DenoiseScorer):
-    def __init__(self, value):
-        self.value = float(value)
-
-    def score(self, query_text, passage_text):
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -144,41 +132,6 @@ class NegativePool:
 
     def candidate_by_pid(self):
         return {c.pid: c for c in self.candidates}
-
-    def to_record(self):
-        return {
-            "query_id": self.query_id,
-            "retriever_lists": {
-                tag: [[pid, score] for pid, score in ranked]
-                for tag, ranked in sorted(self.retriever_lists.items())
-            },
-            "candidates": [
-                {"pid": c.pid, "best_rank": c.best_rank,
-                 "best_tag": c.best_tag, "tags": list(c.tags)}
-                for c in self.candidates
-            ],
-            "undenoised_sample": list(self.undenoised_sample),
-            "denoised": None if self.denoised is None else list(self.denoised),
-        }
-
-    @classmethod
-    def from_record(cls, rec):
-        pool = cls(
-            query_id=rec["query_id"],
-            retriever_lists={
-                tag: [(pid, float(score)) for pid, score in ranked]
-                for tag, ranked in rec["retriever_lists"].items()
-            },
-            candidates=[
-                PoolCandidate(c["pid"], int(c["best_rank"]), c["best_tag"],
-                              tuple(c["tags"]))
-                for c in rec["candidates"]
-            ],
-            undenoised_sample=list(rec["undenoised_sample"]),
-            denoised=None if rec.get("denoised") is None else list(rec["denoised"]),
-        )
-        pool.provenance = {c.pid: c.tags for c in pool.candidates}
-        return pool
 
 
 def merge_candidates(retriever_lists, positives):

@@ -14,6 +14,7 @@ Two modes: "backbone" updates the whole model (no prompts involved);
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import re
@@ -23,10 +24,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor, backward
-from .dataio import write_json, write_jsonl
 from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
 from .tokenizer import MASK_ID, tokenize_words
-from .training import freeze, save_trained, unfreeze
+from .training import freeze, save_trained, unfreeze, write_jsonl
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -377,7 +377,8 @@ def pretrain(corpus, model, config, prompts=None, out_dir=None):
     freeze(model, prompts)
     if out_dir is not None:
         write_jsonl([asdict(r) for r in log], os.path.join(out_dir, "pretrain_log.jsonl"))
-        write_json(prepared.skip_report, os.path.join(out_dir, "skip_report.json"))
+        with open(os.path.join(out_dir, "skip_report.json"), "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(prepared.skip_report, sort_keys=True, indent=2) + "\n")
         save_trained(model, prompts, out_dir, "model.ckpt", "pretrained_prompts.json")
     return PretrainResult(model=model, prompts=prompts, log=log,
                           skip_report=prepared.skip_report)

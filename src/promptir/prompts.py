@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import base64
 import json
+import math
 
 import numpy as np
 
@@ -24,13 +25,13 @@ from .autodiff import Tensor
 
 PROMPTSET_VERSION = 1
 
-_MLP_KEYS = ("source", "w1", "b1", "w2", "b2")
 
-
-def _group_keys(reparam_mode, num_layers):
+def _group_shapes(reparam_mode, l, d, num_layers, mlp_hidden):
+    """{key: shape} of one role group's parameters, in payload order."""
     if reparam_mode == "mlp":
-        return list(_MLP_KEYS)
-    return [f"m{k}" for k in range(num_layers)]
+        return {"source": (l, d), "w1": (d, mlp_hidden), "b1": (mlp_hidden,),
+                "w2": (mlp_hidden, num_layers * d), "b2": (num_layers * d,)}
+    return {f"m{k}": (l, d) for k in range(num_layers)}
 
 
 class PromptSet:
@@ -59,6 +60,8 @@ class PromptSet:
         self.mlp_hidden = int(mlp_hidden)
         self.version = version
         self.groups = groups or {}
+        self._shapes = _group_shapes(reparam_mode, self.prompt_length, self.hidden_size,
+                                     self.num_layers, self.mlp_hidden)
         self._validate()
 
     # -- construction -----------------------------------------------------
@@ -76,60 +79,34 @@ class PromptSet:
         seed=0,
         init_scale=0.02,
     ):
-        """Randomly initialized prompt set (N(0, init_scale) entries)."""
+        """Randomly initialized prompt set: N(0, init_scale) matrices, zero biases."""
         rng = np.random.default_rng(seed)
-        roles = ["query", "passage"] if separate_roles else ["shared"]
+        shapes = _group_shapes(reparam_mode, prompt_length, hidden_size, num_layers, mlp_hidden)
         groups = {}
-        for role in roles:
-            groups[role] = cls._init_group(
-                rng, prompt_length, hidden_size, num_layers,
-                reparam_mode, mlp_hidden, init_scale,
-            )
+        for role in ["query", "passage"] if separate_roles else ["shared"]:
+            groups[role] = {
+                key: Tensor(rng.normal(0.0, init_scale, size=shape) if len(shape) == 2
+                            else np.zeros(shape), requires_grad=True)
+                for key, shape in shapes.items()
+            }
         return cls(
             task_name, prompt_length, hidden_size, num_layers,
             reparam_mode, mlp_hidden, groups,
         )
 
-    @staticmethod
-    def _init_group(rng, l, d, num_layers, reparam_mode, mlp_hidden, init_scale):
-        def t(*shape):
-            return Tensor(rng.normal(0.0, init_scale, size=shape), requires_grad=True)
-
-        if reparam_mode == "mlp":
-            return {
-                "source": t(l, d),
-                "w1": t(d, mlp_hidden),
-                "b1": Tensor(np.zeros(mlp_hidden), requires_grad=True),
-                "w2": t(mlp_hidden, num_layers * d),
-                "b2": Tensor(np.zeros(num_layers * d), requires_grad=True),
-            }
-        return {f"m{k}": t(l, d) for k in range(num_layers)}
-
     def _validate(self):
         roles = sorted(self.groups)
         if roles not in (["shared"], ["passage", "query"]):
             raise ValueError(f"prompt set roles must be shared or query+passage, got {roles}")
-        l, d = self.prompt_length, self.hidden_size
         for role, group in self.groups.items():
-            keys = _group_keys(self.reparam_mode, self.num_layers)
-            if sorted(group) != sorted(keys):
+            if sorted(group) != sorted(self._shapes):
                 raise ValueError(f"group {role} has wrong parameter keys")
-            if self.reparam_mode == "mlp":
-                expected = {
-                    "source": (l, d),
-                    "w1": (d, self.mlp_hidden),
-                    "b1": (self.mlp_hidden,),
-                    "w2": (self.mlp_hidden, self.num_layers * d),
-                    "b2": (self.num_layers * d,),
-                }
-            else:
-                expected = {f"m{k}": (l, d) for k in range(self.num_layers)}
-            for key, shape in expected.items():
+            for key, shape in self._shapes.items():
                 if group[key].shape != shape:
                     raise ValueError(
                         f"group {role}/{key}: expected shape {shape}, got {group[key].shape}"
                     )
-            for key in keys:
+            for key in self._shapes:
                 if not np.all(np.isfinite(group[key].data)):
                     raise ValueError(f"group {role}/{key} contains non-finite values")
 
@@ -144,15 +121,8 @@ class PromptSet:
         return "shared" in self.groups
 
     def parameters(self):
-        out = []
-        for role in self.roles:
-            group = self.groups[role]
-            for key in _group_keys(self.reparam_mode, self.num_layers):
-                out.append(group[key])
-        return out
-
-    def param_count(self):
-        return sum(p.size for p in self.parameters())
+        """Every parameter tensor, in payload order: by role, then by key."""
+        return [self.groups[role][key] for role in self.roles for key in self._shapes]
 
     def set_trainable(self, flag):
         for p in self.parameters():
@@ -206,31 +176,11 @@ class PromptSet:
     def copy(self):
         return promptset_from_json(promptset_to_json(self))
 
-    # -- serialization ------------------------------------------------------
-
-    def _payload_arrays(self):
-        arrays = []
-        for role in self.roles:
-            group = self.groups[role]
-            for key in _group_keys(self.reparam_mode, self.num_layers):
-                arrays.append(np.ascontiguousarray(group[key].data, dtype="<f8"))
-        return arrays
-
-
-def prompt_param_count(prompt_length, hidden_size, num_layers,
-                       reparam_mode="direct_embedding", mlp_hidden=0, n_groups=1):
-    """Closed-form trainable parameter count for a prompt set."""
-    l, d = prompt_length, hidden_size
-    if reparam_mode == "mlp":
-        per_group = l * d + (d * mlp_hidden + mlp_hidden) + (mlp_hidden * num_layers * d + num_layers * d)
-    else:
-        per_group = num_layers * l * d
-    return n_groups * per_group
-
 
 def promptset_to_json(ps):
     """PromptSet file content: JSON header plus base64 float64 payload."""
-    payload = b"".join(a.tobytes() for a in ps._payload_arrays())
+    payload = b"".join(np.ascontiguousarray(p.data, dtype="<f8").tobytes()
+                       for p in ps.parameters())
     return {
         "format": "promptset",
         "version": ps.version,
@@ -246,25 +196,19 @@ def promptset_to_json(ps):
 
 
 def promptset_from_json(doc):
-    if doc.get("format") != "promptset":
+    if not isinstance(doc, dict) or doc.get("format") != "promptset":
         raise ValueError("not a promptset document")
     l, d, num_layers = int(doc["l"]), int(doc["d"]), int(doc["L"])
     reparam_mode = doc["reparam_mode"]
     mlp_hidden = int(doc.get("mlp_hidden", 0))
     payload = base64.b64decode(doc["payload_b64"])
-    if reparam_mode == "mlp":
-        shapes = [
-            (l, d), (d, mlp_hidden), (mlp_hidden,),
-            (mlp_hidden, num_layers * d), (num_layers * d,),
-        ]
-    else:
-        shapes = [(l, d)] * num_layers
+    shapes = _group_shapes(reparam_mode, l, d, num_layers, mlp_hidden)
     groups = {}
     offset = 0
     for role in doc["roles"]:
         group = {}
-        for key, shape in zip(_group_keys(reparam_mode, num_layers), shapes):
-            n = int(np.prod(shape)) if shape else 1
+        for key, shape in shapes.items():
+            n = math.prod(shape)
             arr = np.frombuffer(payload, dtype="<f8", count=n, offset=offset)
             offset += 8 * n
             group[key] = Tensor(arr.reshape(shape).copy())

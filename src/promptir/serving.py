@@ -20,9 +20,10 @@ vector is a JSON number array at the requested precision; with
 little-endian float32 array and metadata moves into response headers.
 
 Errors are JSON {"code", "message", "detail"} with 4xx status codes. A
-body that is not a JSON object, or a Content-Length that is not a
-non-negative integer, gets 400 bad_request; in the latter case the body is
-not read and the connection closes.
+body that is not a JSON object, a field of the wrong JSON type, or a
+Content-Length that is not a non-negative integer, gets 400 bad_request
+(an inline_prompt that is not a prompt-set object gets 400 bad_promptset);
+for a bad Content-Length the body is not read and the connection closes.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import json
 import logging
 import threading
 import time
-import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -117,6 +117,8 @@ class EncodingService:
         if has_inline:
             ps = self._parse_promptset(request["inline_prompt"])
             return _project_prefix(self.model, ps, ps.resolve_role(role))
+        if not isinstance(request["prompt_id"], str):
+            raise ServiceError(400, "bad_request", "prompt_id must be a string")
         entry = self._registry.get(request["prompt_id"])
         if entry is None:
             raise ServiceError(404, "unknown_prompt", f"no prompt {request['prompt_id']!r}")
@@ -133,6 +135,8 @@ class EncodingService:
             )
         cfg = self.model.config
         if has_text:
+            if not isinstance(request["text"], str):
+                raise ServiceError(400, "bad_request", "text must be a string")
             return self.model.vocab.encode(request["text"], max_len=cfg.max_seq_len)
         ids = request["token_ids"]
         # type(...) is int: JSON true/false arrive as bool, a subclass of int
@@ -299,24 +303,3 @@ class running_server:
         self.server.server_close()
         self.thread.join(timeout=5)
         return False
-
-
-# -- tiny client helpers (used by the CLI and tests) -------------------------
-
-
-def post_json(url, obj, headers=None, timeout=30):
-    data = json.dumps(obj).encode("utf-8")
-    req = urllib.request.Request(url, data=data, method="POST")
-    req.add_header("Content-Type", "application/json")
-    for key, value in (headers or {}).items():
-        req.add_header(key, value)
-    with urllib.request.urlopen(req, timeout=timeout) as resp:
-        body = resp.read()
-        if resp.headers.get("Content-Type") == "application/octet-stream":
-            return body, dict(resp.headers)
-        return json.loads(body.decode("utf-8")), dict(resp.headers)
-
-
-def get_json(url, timeout=30):
-    with urllib.request.urlopen(url, timeout=timeout) as resp:
-        return json.loads(resp.read().decode("utf-8"))

@@ -11,12 +11,9 @@ pretraining sentence splitter applies.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
-
-from .dataio import write_pairs_tsv, write_qrels_tsv
 
 
 @dataclass
@@ -43,12 +40,6 @@ class SynthConfig:
             lo, hi = getattr(self, name)
             if not (1 <= lo <= hi):
                 raise ValueError(f"invalid range for {name}")
-
-    def to_dict(self):
-        d = self.__dict__.copy()
-        for key in ("sentences_per_passage", "words_per_sentence", "query_words"):
-            d[key] = list(d[key])
-        return d
 
 
 @dataclass
@@ -113,13 +104,6 @@ def generate(cfg):
             qrels[qid] = {pos_pid}
             topic_of_query[qid] = t
     return SynthDataset(corpus, queries, qrels, topic_of_passage, topic_of_query)
-
-
-def write_dataset(dataset, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    write_pairs_tsv(dataset.corpus, os.path.join(out_dir, "corpus.tsv"))
-    write_pairs_tsv(dataset.queries, os.path.join(out_dir, "queries.tsv"))
-    write_qrels_tsv(dataset.qrels, os.path.join(out_dir, "qrels.tsv"))
 
 
 def split_queries(dataset, n_train, n_test, seed=0):

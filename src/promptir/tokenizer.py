@@ -59,6 +59,3 @@ class Vocabulary:
         if max_len is not None:
             ids = ids[: max(0, max_len - 2)]
         return [CLS_ID] + ids + [SEP_ID]
-
-    def decode(self, ids):
-        return [self.tokens[i] for i in ids]

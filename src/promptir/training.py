@@ -14,6 +14,7 @@ loop and for pretrain's.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from dataclasses import asdict, dataclass, field
@@ -22,7 +23,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, backward
-from .dataio import write_jsonl
 from .encoder import pooled, prefix_kv, save_checkpoint
 from .prompts import PromptSet, save_promptset
 
@@ -127,6 +127,14 @@ def freeze(model, prompts):
     model.set_trainable(False)
     if prompts is not None:
         prompts.set_trainable(False)
+
+
+def write_jsonl(records, path):
+    """One sorted-key JSON object per line, so equal records give equal bytes."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for rec in records:
+            fh.write(json.dumps(rec, sort_keys=True))
+            fh.write("\n")
 
 
 def save_trained(model, prompts, out_dir, ckpt_name, prompts_name):

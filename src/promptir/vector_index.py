@@ -6,22 +6,18 @@ fingerprint of the model that produced it. DenseRetriever is the one query
 path (fingerprint check, tokenize, encode, search); run_queries loops over
 it and mining uses it as its dense retriever.
 
-Index file layout (little-endian): magic "DPTI" | u32 version | u32 d
-| u64 count | u16 fingerprint_len | fingerprint utf-8 | f32 matrix
-| per id: u16 len + utf-8 bytes.
+An index lives in memory only. It is rebuilt from what training writes, the
+checkpoint and the prompt set, so it has no file format to trust.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import encode, encode_batch
 
-INDEX_MAGIC = b"DPTI"
-INDEX_VERSION = 1
 ENCODE_BATCH = 128  # passages per packed forward; bounds encode_corpus memory
 
 
@@ -117,39 +113,3 @@ def run_queries(index, model, prompts, queries, k, role="query"):
     """Search every (qid, text) query; returns RetrievalResults in order."""
     retrieve = DenseRetriever(index, model, prompts, role=role)
     return [RetrievalResult(query_id=qid, ranking=retrieve(text, k)) for qid, text in queries]
-
-
-def save_index(index, path):
-    with open(path, "wb") as fh:
-        fh.write(INDEX_MAGIC)
-        fh.write(struct.pack("<I", INDEX_VERSION))
-        fh.write(struct.pack("<I", index.dim))
-        fh.write(struct.pack("<Q", len(index)))
-        fp = index.fingerprint.encode("utf-8")
-        fh.write(struct.pack("<H", len(fp)))
-        fh.write(fp)
-        fh.write(np.ascontiguousarray(index.vectors, dtype="<f4").tobytes())
-        for pid in index.passage_ids:
-            pb = pid.encode("utf-8")
-            fh.write(struct.pack("<H", len(pb)))
-            fh.write(pb)
-
-
-def load_index(path):
-    with open(path, "rb") as fh:
-        if fh.read(4) != INDEX_MAGIC:
-            raise ValueError("not a vector index file (bad magic)")
-        (version,) = struct.unpack("<I", fh.read(4))
-        if version != INDEX_VERSION:
-            raise ValueError(f"unsupported index version {version}")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        (count,) = struct.unpack("<Q", fh.read(8))
-        (fplen,) = struct.unpack("<H", fh.read(2))
-        fingerprint = fh.read(fplen).decode("utf-8")
-        vectors = np.frombuffer(fh.read(4 * count * dim), dtype="<f4")
-        vectors = vectors.reshape(count, dim).astype(np.float64)
-        pids = []
-        for _ in range(count):
-            (n,) = struct.unpack("<H", fh.read(2))
-            pids.append(fh.read(n).decode("utf-8"))
-    return VectorIndex(vectors, pids, fingerprint)

@@ -1,3 +1,6 @@
+import json
+import urllib.request
+
 import numpy as np
 import pytest
 
@@ -60,3 +63,22 @@ def tiny_model(tiny_vocab):
 @pytest.fixture
 def tiny_prompts(tiny_model):
     return make_tiny_prompts(tiny_model)
+
+
+def post_json(url, obj, headers=None, timeout=30):
+    """POST obj as JSON; returns (decoded JSON or raw octet-stream body, headers)."""
+    data = json.dumps(obj).encode("utf-8")
+    req = urllib.request.Request(url, data=data, method="POST")
+    req.add_header("Content-Type", "application/json")
+    for key, value in (headers or {}).items():
+        req.add_header(key, value)
+    with urllib.request.urlopen(req, timeout=timeout) as resp:
+        body = resp.read()
+        if resp.headers.get("Content-Type") == "application/octet-stream":
+            return body, dict(resp.headers)
+        return json.loads(body.decode("utf-8")), dict(resp.headers)
+
+
+def get_json(url, timeout=30):
+    with urllib.request.urlopen(url, timeout=timeout) as resp:
+        return json.loads(resp.read().decode("utf-8"))

@@ -5,19 +5,24 @@ embeddings and DPT/ft losses in ``tests/data/golden.json`` were recorded
 with the per-sequence, per-head forward that preceded the packed one; the
 RIP trajectories with the per-anchor contrastive loss and the separate
 pretraining loop that preceded the shared training skeleton. So
-test_golden.py pins the current code to both. Regenerate only on a
-deliberate numerical change:
+test_golden.py pins the current code to both. The ``init`` hashes of a
+fresh checkpoint and fresh prompt payloads were recorded with the
+hand-written initializers that preceded the parameter shape tables, and
+must match bitwise. Regenerate only on a deliberate numerical change:
 
     PYTHONPATH=src:tests python tests/golden.py
 """
 
+import base64
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 
-from promptir.encoder import encode
+from promptir.encoder import encode, serialize_model
 from promptir.pretrain import PretrainConfig, pretrain
+from promptir.prompts import promptset_to_json
 from promptir.tokenizer import Vocabulary
 from promptir.training import TrainConfig, TrainingExample, train
 
@@ -44,6 +49,9 @@ TRAJECTORIES = {
     "dpt_separate": ("separate", "dpt"),
     "dpt_mlp": ("mlp", "dpt"),
 }
+
+# prompt layouts whose fresh payload is pinned bitwise
+INIT_LAYOUTS = ("shared", "separate", "mlp")
 
 # one RIP trajectory per pretraining mode; prompts_only creates its prompt set
 RIP_MODES = ("backbone", "prompts_only")
@@ -72,8 +80,23 @@ def retrieval_data():
     return corpus, examples
 
 
+def sha256(blob):
+    return hashlib.sha256(blob).hexdigest()
+
+
+def init_hashes():
+    """sha256 of a fresh backbone checkpoint and of fresh prompt-set payloads."""
+    vocab = Vocabulary.build(TINY_TEXTS)
+    out = {"backbone": sha256(serialize_model(make_tiny_model(vocab, seed=3)))}
+    for layout in INIT_LAYOUTS:
+        model_kw, prompt_kw = CASES[layout]
+        ps = make_tiny_prompts(make_tiny_model(vocab, seed=3, **model_kw), seed=4, **prompt_kw)
+        out[layout] = sha256(base64.b64decode(promptset_to_json(ps)["payload_b64"]))
+    return out
+
+
 def golden_values():
-    out = {"embeddings": {}, "losses": {}}
+    out = {"embeddings": {}, "losses": {}, "init": init_hashes()}
     for case in CASES:
         model, prompts = build(case)
         cfg = model.config

@@ -1,5 +1,5 @@
 """Encoder forward contracts: prompt prefix behavior, pooling, MLM,
-parameter partition, and checkpoint round-trips."""
+parameter counts, and checkpoint round-trips."""
 
 import json
 import math
@@ -13,17 +13,15 @@ from promptir import autodiff as ad
 from promptir.autodiff import AdamW, Tensor, backward, grad_check
 from promptir.encoder import (
     EncoderConfig,
-    ParamPartition,
+    EncoderModel,
     apply_mlm_masking,
-    backbone_param_count,
     deserialize_model,
     encode,
     encode_states,
-    encode_tokens,
     init_model,
     load_checkpoint,
     mlm_loss,
-    param_partition,
+    param_shapes,
     pooled,
     role_prefix,
     save_checkpoint,
@@ -32,7 +30,6 @@ from promptir.encoder import (
 from promptir.prompts import (
     PromptSet,
     load_promptset,
-    prompt_param_count,
     promptset_from_json,
     promptset_to_json,
     save_promptset,
@@ -40,6 +37,15 @@ from promptir.prompts import (
 from promptir.tokenizer import CLS_ID, SEP_ID, Vocabulary
 
 from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
+
+
+def encode_tokens(model, prompts, token_ids, role="query"):
+    """First-token embedding as a 1 x d graph tensor, as training computes it."""
+    return pooled(model, [token_ids], role_prefix(model, prompts, role))
+
+
+def param_count(params):
+    return sum(p.size for p in params)
 
 
 def encode_text(model, prompts, text, role="query"):
@@ -294,8 +300,7 @@ class TestRealizePrompts:
         l, d, L, H = 4, 16, 2, 8
         ps = PromptSet.create("t", l, d, L, reparam_mode="mlp", mlp_hidden=H)
         expected = l * d + (d * H + H) + (H * L * d + L * d)
-        assert ps.param_count() == expected
-        assert prompt_param_count(l, d, L, "mlp", H) == expected
+        assert param_count(ps.parameters()) == expected
 
     def test_mlp_gradients_reach_source(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, reparam_mode="mlp", mlp_hidden=8)
@@ -309,26 +314,29 @@ class TestRealizePrompts:
 
 
 class TestParamPartition:
+    """Trainable (prompt) and frozen (backbone) counts against closed forms."""
+
     def test_toy_direct_count(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, num_layers=2, hidden_size=64,
                                 num_heads=4, prompt_length=8, max_seq_len=32)
         ps = make_tiny_prompts(model)
-        part = param_partition(model, ps)
-        assert part.trainable_count == 2 * 8 * 64 == 1024
-        assert part.frozen_count == sum(p.size for p in model.parameters())
-        assert part.frozen_count == backbone_param_count(model.config)
+        assert param_count(ps.parameters()) == 2 * 8 * 64 == 1024
+        d, ffn, v, n_layers = 64, 32, len(tiny_vocab), 2
+        per_layer = 4 * (d * d + d) + (d * ffn + ffn) + (ffn * d + d) + 4 * d
+        frozen = v * d + 32 * d + 2 * d + v + n_layers * per_layer
+        assert param_count(model.parameters()) == frozen
+        assert sum(math.prod(shape) for shape in param_shapes(model.config).values()) == frozen
 
     def test_reference_dims_inside_paper_band(self):
         # L=24, d=1024, l=32 against a 355M backbone: ratio ~0.22%
-        trainable = prompt_param_count(32, 1024, 24)
+        trainable = param_count(PromptSet.create("t", 32, 1024, 24).parameters())
         assert trainable == 786_432
-        part = ParamPartition(frozen_count=355_000_000, trainable_count=trainable)
-        assert 0.001 <= part.ratio <= 0.004
+        assert 0.001 <= trainable / (355_000_000 + trainable) <= 0.004
 
     def test_zero_length_prompts_ratio_zero(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, prompt_length=0)
         ps = make_tiny_prompts(model)
-        assert param_partition(model, ps).ratio == 0.0
+        assert param_count(ps.parameters()) == 0
 
 
 class TestSerialization:
@@ -380,13 +388,41 @@ class TestSerialization:
             deserialize_model(serialize_model(tiny_model) + b"\x00")
 
     @staticmethod
-    def with_config(blob, **fields):
-        """The checkpoint blob with its header config updated by fields."""
+    def with_header(blob, edit):
+        """The checkpoint blob with its header JSON replaced by edit(header)."""
         hlen = int.from_bytes(blob[8:12], "little")
-        header = json.loads(blob[12:12 + hlen])
-        header["config"].update(fields)
-        raw = json.dumps(header, sort_keys=True).encode("utf-8")
+        raw = json.dumps(edit(json.loads(blob[12:12 + hlen])), sort_keys=True).encode("utf-8")
         return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + hlen:]
+
+    @classmethod
+    def with_config(cls, blob, **fields):
+        """The checkpoint blob with its header config updated by fields."""
+        return cls.with_header(blob, lambda h: {**h, "config": {**h["config"], **fields}})
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: [h],
+        lambda h: {"vocab": h["vocab"]},
+        lambda h: {"config": h["config"]},
+        lambda h: {**h, "config": {**h["config"], "depth": 2}},
+        lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "num_heads"}},
+    ], ids=["not_an_object", "no_config", "no_vocab", "unknown_config_key",
+            "missing_config_key"])
+    def test_malformed_header_rejected(self, tiny_model, edit):
+        with pytest.raises(ValueError, match="header"):
+            deserialize_model(self.with_header(serialize_model(tiny_model), edit))
+
+    @pytest.mark.parametrize("change", ["missing", "reshaped", "extra"])
+    def test_arrays_off_the_config_layout_rejected(self, tiny_model, change):
+        params = dict(tiny_model.params)
+        if change == "missing":
+            del params["layer1.bo"]
+        elif change == "reshaped":
+            params["tok_emb"] = Tensor(params["tok_emb"].data[:, :-1])
+        else:
+            params["layer2.wq"] = params["layer0.wq"]
+        blob = serialize_model(EncoderModel(tiny_model.config, tiny_model.vocab, params))
+        with pytest.raises(ValueError, match="layout"):
+            deserialize_model(blob)
 
     def test_legacy_config_fields_load_at_their_one_value(self, tiny_model):
         blob = self.with_config(serialize_model(tiny_model), dropout_rate=0.0,

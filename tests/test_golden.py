@@ -4,14 +4,16 @@ Embeddings, 5-step DPT/ft loss trajectories and 5-step RIP trajectories of
 the tiny backbones (tests/golden.py) must stay within GATE relative
 difference of tests/data/golden.json: the packed forward and the one
 cross-entropy contrastive loss sum in a different order than the code that
-recorded them, so they agree to rounding, not bitwise.
+recorded them, so they agree to rounding, not bitwise. Initialization draws
+the same numbers in the same order, so its hashes must match exactly.
 """
 
 import json
 
 import pytest
 
-from golden import CASES, PATH, RIP_MODES, RIP_TERMS, TRAJECTORIES, golden_values, relative_error
+from golden import (CASES, INIT_LAYOUTS, PATH, RIP_MODES, RIP_TERMS, TRAJECTORIES, golden_values,
+                    relative_error)
 
 GATE = 1e-10
 WANT = json.loads(PATH.read_text())
@@ -46,3 +48,8 @@ def test_rip_trajectory(got, mode, term):
     assert len(losses) == 5
     for a, b in losses:
         assert relative_error(a, b) <= GATE
+
+
+@pytest.mark.parametrize("name", ["backbone", *INIT_LAYOUTS])
+def test_init_bitwise(got, name):
+    assert got["init"][name] == WANT["init"][name]

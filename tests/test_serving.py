@@ -15,10 +15,10 @@ import pytest
 from promptir.encoder import encode
 from promptir.prompts import PromptSet, promptset_to_json
 from promptir import serving
-from promptir.serving import EncodingService, get_json, post_json, running_server
+from promptir.serving import EncodingService, ServiceError, running_server
 from promptir.tokenizer import CLS_ID, SEP_ID
 
-from conftest import make_tiny_model, make_tiny_prompts
+from conftest import get_json, make_tiny_model, make_tiny_prompts, post_json
 
 TEXTS = ["the cat sat on the mat.", "", "bright stars fill the sky far from the city lights."]
 
@@ -118,6 +118,25 @@ class TestRequests:
         else:
             status, body = post_error(srv.base_url + "/prompts", doc)
         assert status == 400 and body["code"] == "dimension_mismatch"
+
+    @pytest.mark.parametrize("fields, code", [
+        ({"prompt_id": ["x"]}, "bad_request"), ({"prompt_id": 7}, "bad_request"),
+        ({"text": 5}, "bad_request"), ({"text": ["the", "cat"]}, "bad_request"),
+        ({"inline_prompt": []}, "bad_promptset"), ({"inline_prompt": "doc"}, "bad_promptset"),
+    ])
+    def test_wrong_field_type_is_400(self, served, fields, code):
+        srv, _, _, ids = served
+        request = {"text": "the cat", **fields}
+        if "inline_prompt" not in request:
+            request.setdefault("prompt_id", ids["shared"])
+        with pytest.raises(ServiceError) as exc:
+            srv.server.service.encode_vector(request)
+        assert (exc.value.status, exc.value.code) == (400, code)
+
+    def test_wrong_field_type_is_400_over_http(self, served):
+        srv, _, _, _ = served
+        status, body = post_error(srv.base_url + "/encode", {"prompt_id": ["x"], "text": "a"})
+        assert status == 400 and body["code"] == "bad_request"
 
     def test_unknown_prompt_is_404(self, served):
         srv, _, _, _ = served

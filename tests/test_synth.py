@@ -4,20 +4,16 @@ separability under the overlap dial."""
 import numpy as np
 import pytest
 
-from promptir.dataio import read_pairs_tsv, read_qrels_tsv
 from promptir.mining import bm25_build, bm25_search
 from promptir.evaluation import mrr_at_k
-from promptir.synth import SynthConfig, generate, split_queries, write_dataset
+from promptir.synth import SynthConfig, generate, split_queries
+from promptir.vector_index import RetrievalResult
 
 
 class TestGenerate:
-    def test_same_seed_byte_identical(self, tmp_path):
+    def test_same_seed_byte_identical(self):
         cfg = SynthConfig(num_topics=4, passages_per_topic=5, seed=7)
-        d1, d2 = tmp_path / "a", tmp_path / "b"
-        write_dataset(generate(cfg), d1)
-        write_dataset(generate(cfg), d2)
-        for name in ("corpus.tsv", "queries.tsv", "qrels.tsv"):
-            assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+        assert generate(cfg) == generate(cfg)
 
     def test_different_seed_differs(self):
         a = generate(SynthConfig(num_topics=2, passages_per_topic=3, seed=0))
@@ -56,13 +52,6 @@ class TestGenerate:
             for pid, _score in bm25_search(index, text, 50):
                 assert data.topic_of_passage[pid] == topic
 
-    def test_roundtrip_files(self, tmp_path):
-        data = generate(SynthConfig(num_topics=2, passages_per_topic=3))
-        write_dataset(data, tmp_path)
-        assert read_pairs_tsv(tmp_path / "corpus.tsv") == data.corpus
-        assert read_pairs_tsv(tmp_path / "queries.tsv") == data.queries
-        assert read_qrels_tsv(tmp_path / "qrels.tsv") == data.qrels
-
     def test_invalid_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap_fraction"):
             SynthConfig(overlap_fraction=1.0)
@@ -98,10 +87,8 @@ class TestSeparabilityDial:
                                   background_vocab_size=20, seed=seed)
                 data = generate(cfg)
                 index = bm25_build(data.corpus)
-                results = {
-                    qid: bm25_search(index, text, 10)
-                    for qid, text in data.queries
-                }
+                results = [RetrievalResult(qid, bm25_search(index, text, 10))
+                           for qid, text in data.queries]
                 values.append(mrr_at_k(results, data.qrels, k=10)[0])
             medians.append(float(np.median(values)))
         assert medians[0] >= medians[1] >= medians[2]
