@@ -5,7 +5,9 @@ vocabulary. A prompt set contributes, per layer, an l x d matrix that is
 projected through that layer's frozen key/value weights into l extra
 attention slots. Prefix slots are key/value only: they carry no positional
 embedding and emit no hidden states upward, so each layer's prefix comes
-solely from its own matrix.
+solely from its own matrix. prefix_kv is the one prompt-to-prefix path:
+encode, training, pretraining and serving all call it, and it checks the
+prompt geometry against the backbone.
 
 Sequence embeddings are the final-layer hidden state at position 0 (the
 [CLS] slot).
@@ -154,29 +156,28 @@ def init_model(config, vocab, seed=0):
 # ---------------------------------------------------------------------------
 
 
-def prefix_kv(model, matrices):
-    """Project realized prompt matrices through each layer's K/V weights.
+def prefix_kv(model, prompts, role):
+    """A prompt set role's prefix: one (keys, values) pair of l x d graph
+    tensors per layer, the realized matrices through that layer's K/V
+    weights.
 
-    Returns one (keys, values) pair of l x d graph tensors per layer. The
-    serving module runs the same projection once per registered prompt
-    set; tests/test_serving.py checks that served vectors equal encode().
+    None without prompts or for an empty (l = 0) set. Any set, empty ones
+    included, is first checked against the backbone: ValueError on a wrong
+    hidden size, layer count or pinned length.
     """
+    if prompts is None:
+        return None
+    prompts.check_compatible(model.config)
+    if prompts.prompt_length == 0:
+        return None
     p = model.params
     pairs = []
-    for k, m in enumerate(matrices):
+    for k, m in enumerate(prompts.realize(role)):
         base = f"layer{k}."
         keys = ad.add(ad.matmul(m, p[base + "wk"]), p[base + "bk"])
         values = ad.add(ad.matmul(m, p[base + "wv"]), p[base + "bv"])
         pairs.append((keys, values))
     return pairs
-
-
-def role_prefix(model, prompts, role):
-    """The per-layer prefix (K, V) pairs of a prompt set's role, or None."""
-    if prompts is None or prompts.prompt_length == 0:
-        return None
-    prompts.check_compatible(model.config)
-    return prefix_kv(model, prompts.realize(role))
 
 
 def _check_ids(model, token_ids):
@@ -240,7 +241,7 @@ def encode_batch(model, prompts, sequences, role="query"):
     The prefix is detached from the prompt parameters, so with a frozen
     backbone the forward records no tape, whatever the prompts' flags.
     """
-    prefix = role_prefix(model, prompts, role)
+    prefix = prefix_kv(model, prompts, role)
     if prefix is not None:
         prefix = [(Tensor(k.data), Tensor(v.data)) for k, v in prefix]
     return pooled(model, sequences, prefix).data
@@ -297,7 +298,7 @@ def mlm_loss(model, batch, prompts=None, role="query"):
     if not seqs:
         raise ValueError("mlm_loss: batch contains no masked positions")
     states, offsets = encode_states(model, [seq.ids for seq in seqs],
-                                    prefix=role_prefix(model, prompts, role))
+                                    prefix=prefix_kv(model, prompts, role))
     rows = np.concatenate([start + np.asarray(seq.positions) for start, seq in zip(offsets, seqs)])
     labels = [label for seq in seqs for label in seq.labels]
     return ad.cross_entropy_rows(mlm_logits(model, states, rows), labels)

@@ -279,15 +279,10 @@ def rip_loss(batch, model, prompts=None):
     batch-mean definition, the combined value is mean_units(mlm) +
     mean_anchors(contrastive).
     """
-    prefix = None
-    if prompts is not None and prompts.prompt_length > 0:
-        prompts.check_compatible(model.config)
-        prefix = prefix_kv(model, prompts.realize("query"))
-
     n = len(batch.token_ids)
     masked = [seq for seq in batch.masked if seq.positions]
     states, offsets = encode_states(model, list(batch.token_ids) + [seq.ids for seq in masked],
-                                    prefix=prefix)
+                                    prefix=prefix_kv(model, prompts, "query"))
     embs = ad.embedding_gather(states, offsets[:n])
     l_c = contrastive_loss(embs)
 

@@ -46,7 +46,6 @@ class PromptSet:
         reparam_mode="direct_embedding",
         mlp_hidden=0,
         groups=None,
-        version=PROMPTSET_VERSION,
     ):
         if reparam_mode not in ("direct_embedding", "mlp"):
             raise ValueError(f"unknown reparam_mode: {reparam_mode}")
@@ -58,7 +57,6 @@ class PromptSet:
         self.num_layers = int(num_layers)
         self.reparam_mode = reparam_mode
         self.mlp_hidden = int(mlp_hidden)
-        self.version = version
         self.groups = groups or {}
         self._shapes = _group_shapes(reparam_mode, self.prompt_length, self.hidden_size,
                                      self.num_layers, self.mlp_hidden)
@@ -155,7 +153,7 @@ class PromptSet:
 
         The prefix occupies key/value slots only, so prompt length is a
         per-task choice: a config with prompt_length 0 accepts any length,
-        while a nonzero value pins it (empty prompt sets always pass).
+        while a nonzero value pins it (an empty set passes the length check).
         """
         if self.hidden_size != config.hidden_size:
             raise ValueError(
@@ -183,7 +181,7 @@ def promptset_to_json(ps):
                        for p in ps.parameters())
     return {
         "format": "promptset",
-        "version": ps.version,
+        "version": PROMPTSET_VERSION,
         "task_name": ps.task_name,
         "l": ps.prompt_length,
         "d": ps.hidden_size,
@@ -196,16 +194,31 @@ def promptset_to_json(ps):
 
 
 def promptset_from_json(doc):
+    """The PromptSet a prompt-set document holds; ValueError on a header
+    field of the wrong JSON type or value, or a payload that is not exact
+    base64 of the declared shapes."""
     if not isinstance(doc, dict) or doc.get("format") != "promptset":
         raise ValueError("not a promptset document")
-    l, d, num_layers = int(doc["l"]), int(doc["d"]), int(doc["L"])
+    ints = {key: doc[key] for key in ("l", "d", "L", "version")}
+    ints["mlp_hidden"] = doc.get("mlp_hidden", 0)
+    for key, value in ints.items():
+        if type(value) is not int:  # JSON true/false arrive as bool, a subclass of int
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+    if ints["version"] != PROMPTSET_VERSION:
+        raise ValueError(f"unsupported promptset version {ints['version']}")
+    if not isinstance(doc["task_name"], str):
+        raise ValueError("task_name must be a string")
+    roles = doc["roles"]
+    if (not isinstance(roles, list) or not all(isinstance(r, str) for r in roles)
+            or len(set(roles)) != len(roles)):
+        raise ValueError(f"roles must be a list of distinct strings, got {roles!r}")
+    l, d, num_layers = ints["l"], ints["d"], ints["L"]
     reparam_mode = doc["reparam_mode"]
-    mlp_hidden = int(doc.get("mlp_hidden", 0))
-    payload = base64.b64decode(doc["payload_b64"])
-    shapes = _group_shapes(reparam_mode, l, d, num_layers, mlp_hidden)
+    payload = base64.b64decode(doc["payload_b64"], validate=True)
+    shapes = _group_shapes(reparam_mode, l, d, num_layers, ints["mlp_hidden"])
     groups = {}
     offset = 0
-    for role in doc["roles"]:
+    for role in roles:
         group = {}
         for key, shape in shapes.items():
             n = math.prod(shape)
@@ -215,10 +228,7 @@ def promptset_from_json(doc):
         groups[role] = group
     if offset != len(payload):
         raise ValueError("promptset payload size mismatch")
-    return PromptSet(
-        doc["task_name"], l, d, num_layers, reparam_mode, mlp_hidden,
-        groups, version=int(doc["version"]),
-    )
+    return PromptSet(doc["task_name"], l, d, num_layers, reparam_mode, ints["mlp_hidden"], groups)
 
 
 def save_promptset(ps, path):

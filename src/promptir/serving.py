@@ -2,9 +2,10 @@
 
 The backbone loads once and never changes for the process lifetime; its
 fingerprint is echoed in every response. Clients either register a prompt
-set (its per-layer prefix key/value tensors are projected through the
-frozen attention weights once, at registration) and encode by prompt_id,
-or ship the prompt set inline with each request.
+set (encoder.prefix_kv projects its per-layer prefix key/value tensors
+once, at registration) and encode by prompt_id, or ship the prompt set
+inline with each request. Nothing requires a gradient, so the prefixes
+carry no tape; tests/test_serving.py checks served vectors against encode().
 
 Endpoints:
     GET  /health            -> {"status": "ok", "fingerprint": ...}
@@ -22,7 +23,8 @@ little-endian float32 array and metadata moves into response headers.
 Errors are JSON {"code", "message", "detail"} with 4xx status codes. A
 body that is not a JSON object, a field of the wrong JSON type, or a
 Content-Length that is not a non-negative integer, gets 400 bad_request
-(an inline_prompt that is not a prompt-set object gets 400 bad_promptset);
+(an inline_prompt that is not a prompt-set object gets 400 bad_promptset,
+one whose geometry prefix_kv rejects 400 dimension_mismatch);
 for a bad Content-Length the body is not read and the connection closes.
 """
 
@@ -56,18 +58,6 @@ class ServiceError(Exception):
         return {"code": self.code, "message": self.message, "detail": self.detail}
 
 
-def _project_prefix(model, promptset, role):
-    """One role group's prefix K/V through the frozen weights, or None.
-
-    This is encoder.prefix_kv; with the backbone frozen and a prompt set
-    loaded from JSON nothing requires a gradient, so the pairs carry no
-    tape. tests/test_serving.py checks served vectors against encode().
-    """
-    if promptset.prompt_length == 0:
-        return None
-    return prefix_kv(model, promptset.realize(role))
-
-
 class EncodingService:
     """Request handling core, independent of the HTTP transport."""
 
@@ -81,24 +71,23 @@ class EncodingService:
 
     # -- prompt registration -------------------------------------------------
 
-    def _parse_promptset(self, doc):
-        """A prompt set from its file JSON, checked against the backbone."""
+    def _prefixes(self, doc, roles=None):
+        """(prompt set, {role: prefix}) of a prompt-set document, for the
+        given roles or else the set's own role groups."""
         try:
             ps = promptset_from_json(doc)
         except (KeyError, ValueError, TypeError) as exc:
             raise ServiceError(400, "bad_promptset", f"invalid prompt set: {exc}")
         try:
-            ps.check_compatible(self.model.config)
+            return ps, {role: prefix_kv(self.model, ps, role) for role in roles or ps.roles}
         except ValueError as exc:
             raise ServiceError(400, "dimension_mismatch", str(exc))
-        return ps
 
     def register(self, doc):
-        ps = self._parse_promptset(doc)
-        prefixes = {role: _project_prefix(self.model, ps, role) for role in ps.roles}
+        entry = self._prefixes(doc)
         with self._lock:
             prompt_id = f"prompt-{next(self._ids):04d}"
-            self._registry[prompt_id] = (ps, prefixes)
+            self._registry[prompt_id] = entry
         return prompt_id
 
     # -- encoding -------------------------------------------------------------
@@ -115,8 +104,7 @@ class EncodingService:
         if role not in ("query", "passage"):
             raise ServiceError(400, "bad_request", f"unknown role {role!r}")
         if has_inline:
-            ps = self._parse_promptset(request["inline_prompt"])
-            return _project_prefix(self.model, ps, ps.resolve_role(role))
+            return self._prefixes(request["inline_prompt"], [role])[1][role]
         if not isinstance(request["prompt_id"], str):
             raise ServiceError(400, "bad_request", "prompt_id must be a string")
         entry = self._registry.get(request["prompt_id"])

@@ -9,7 +9,8 @@ that is a known positive of the query is masked out.
 Two modes: "dpt" trains only the prompt set against a frozen backbone;
 "ft" trains the full backbone without prompts. unfreeze, freeze and
 save_trained decide which weights train and what gets written, for this
-loop and for pretrain's.
+loop and for pretrain's. A step projects its prompt prefix through
+encoder.prefix_kv once per role group and tokenizes its texts afresh.
 """
 
 from __future__ import annotations
@@ -153,35 +154,6 @@ def _grad_norm(params):
     return math.sqrt(total)
 
 
-class _EncoderCache:
-    """Tokenization cache plus the per-step prompt prefixes."""
-
-    def __init__(self, model, prompts):
-        self.model = model
-        self.prompts = prompts
-        self.token_ids = {}
-
-    def tokens(self, text):
-        ids = self.token_ids.get(text)
-        if ids is None:
-            ids = self.model.vocab.encode(text, max_len=self.model.config.max_seq_len)
-            self.token_ids[text] = ids
-        return ids
-
-    def step_prefixes(self):
-        """Per-role prefix K/V graph nodes, computed once per train step."""
-        if self.prompts is None or self.prompts.prompt_length == 0:
-            return None
-        self.prompts.check_compatible(self.model.config)
-        prefixes = {}
-        for role in ("query", "passage"):
-            key = self.prompts.resolve_role(role)
-            if key not in prefixes:
-                prefixes[key] = prefix_kv(self.model, self.prompts.realize(key))
-            prefixes[role] = prefixes[key]
-        return prefixes
-
-
 def batch_candidates(batch, config, positives_of):
     """Candidate passage ids per example: own positive first, then own
     negatives, then (optionally) the other examples' positives and
@@ -212,13 +184,13 @@ def batch_candidates(batch, config, positives_of):
     return out
 
 
-def train_step(batch, model, prompts, config, optimizer, corpus_texts,
-               positives_of, cache=None):
+def train_step(batch, model, prompts, config, optimizer, corpus_texts, positives_of):
     """One optimizer step over a batch; returns the step report."""
     if not batch:
         raise ValueError("train_step: empty batch")
-    cache = cache or _EncoderCache(model, prompts)
-    prefixes = cache.step_prefixes()
+    # each role's prefix is projected once per step; a shared set projects once
+    query = prefix_kv(model, prompts, "query")
+    passage = query if prompts is None or prompts.shared else prefix_kv(model, prompts, "passage")
 
     per_example = batch_candidates(batch, config, positives_of)
     needed = sorted({pid for cands in per_example for pid in cands})
@@ -227,12 +199,12 @@ def train_step(batch, model, prompts, config, optimizer, corpus_texts,
         raise KeyError(f"passage ids not in corpus: {missing[:5]}")
 
     # one packed forward for the step's unique passages, one for its queries
-    def embed(texts, role):
-        prefix = None if prefixes is None else prefixes[role]
-        return pooled(model, [cache.tokens(t) for t in texts], prefix)
+    def embed(texts, prefix):
+        max_len = model.config.max_seq_len
+        return pooled(model, [model.vocab.encode(t, max_len=max_len) for t in texts], prefix)
 
-    passages = embed([corpus_texts[pid] for pid in needed], "passage")
-    queries = embed([ex.query for ex in batch], "query")
+    passages = embed([corpus_texts[pid] for pid in needed], passage)
+    queries = embed([ex.query for ex in batch], query)
     row = {pid: i for i, pid in enumerate(needed)}
     losses = []
     for i, cands in enumerate(per_example):
@@ -295,7 +267,6 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
             warmup_ratio=config.warmup_ratio,
             total_steps=config.epochs * n_batches,
         )
-        cache = _EncoderCache(model, prompts)
         rng = np.random.default_rng(config.seed)
         for epoch in range(config.epochs):
             order = rng.permutation(len(dataset))
@@ -303,7 +274,7 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
                 idx = order[b * config.batch_size:(b + 1) * config.batch_size]
                 batch = [dataset[int(i)] for i in idx]
                 log.append(train_step(batch, model, prompts, config, optimizer,
-                                      corpus_texts, positives_of, cache))
+                                      corpus_texts, positives_of))
             if out_dir is not None:
                 save_trained(model, prompts, out_dir, f"model_epoch{epoch}.ckpt",
                              f"prompts_epoch{epoch}.json")

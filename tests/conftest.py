@@ -1,3 +1,4 @@
+import base64
 import json
 import urllib.request
 
@@ -18,6 +19,28 @@ TINY_TEXTS = [
     "the old clock on the wall ticked through the night.",
     "bright stars fill the sky far from the city lights.",
 ]
+
+
+def _doubled_roles(doc):
+    payload = base64.b64decode(doc["payload_b64"])
+    return {**doc, "roles": doc["roles"] * 2,
+            "payload_b64": base64.b64encode(payload * 2).decode("ascii")}
+
+
+# edits of a shared direct_embedding prompt-set document that a reader which
+# casts with int() and skips non-base64 characters would still load
+BAD_PROMPTSET_HEADERS = {
+    "float_l": lambda doc: {**doc, "l": doc["l"] + 0.7},
+    "string_d": lambda doc: {**doc, "d": str(doc["d"])},
+    "float_L": lambda doc: {**doc, "L": float(doc["L"])},
+    "float_mlp_hidden": lambda doc: {**doc, "mlp_hidden": 0.5},
+    "bool_mlp_hidden": lambda doc: {**doc, "mlp_hidden": False},
+    "bool_version": lambda doc: {**doc, "version": True},
+    "other_version": lambda doc: {**doc, "version": 2},
+    "list_task_name": lambda doc: {**doc, "task_name": [1]},
+    "doubled_role": _doubled_roles,
+    "non_base64_payload": lambda doc: {**doc, "payload_b64": "!" + doc["payload_b64"]},
+}
 
 
 @pytest.fixture(scope="session")

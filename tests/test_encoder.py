@@ -14,6 +14,7 @@ from promptir.autodiff import AdamW, Tensor, backward, grad_check
 from promptir.encoder import (
     EncoderConfig,
     EncoderModel,
+    MaskedSequence,
     apply_mlm_masking,
     deserialize_model,
     encode,
@@ -23,7 +24,7 @@ from promptir.encoder import (
     mlm_loss,
     param_shapes,
     pooled,
-    role_prefix,
+    prefix_kv,
     save_checkpoint,
     serialize_model,
 )
@@ -34,14 +35,17 @@ from promptir.prompts import (
     promptset_to_json,
     save_promptset,
 )
+from promptir.pretrain import PretrainBatch, rip_loss
 from promptir.tokenizer import CLS_ID, SEP_ID, Vocabulary
+from promptir.training import TrainConfig, TrainingExample, train_step
+from promptir.vector_index import DenseRetriever, encode_corpus
 
-from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
+from conftest import BAD_PROMPTSET_HEADERS, TINY_TEXTS, make_tiny_model, make_tiny_prompts
 
 
 def encode_tokens(model, prompts, token_ids, role="query"):
     """First-token embedding as a 1 x d graph tensor, as training computes it."""
-    return pooled(model, [token_ids], role_prefix(model, prompts, role))
+    return pooled(model, [token_ids], prefix_kv(model, prompts, role))
 
 
 def param_count(params):
@@ -137,6 +141,57 @@ class TestEncode:
         assert err < 1e-4
 
 
+def _dense_query(model, prompts):
+    index = encode_corpus([("p0", TINY_TEXTS[0]), ("p1", TINY_TEXTS[1])], model, None)
+    DenseRetriever(index, model, prompts)("the cat", 1)
+
+
+def _train_step(model, prompts):
+    texts = {f"p{i}": t for i, t in enumerate(TINY_TEXTS)}
+    batch = [TrainingExample("q0", "the cat sat.", "p0", ["p1", "p2"])]
+    # the optimizer holds nothing: an empty set has no gradient to step on
+    train_step(batch, model, prompts, TrainConfig(), AdamW([], lr=1e-3), texts, {})
+
+
+def _rip_loss(model, prompts):
+    ids = [model.vocab.encode(t) for t in TINY_TEXTS[:4]]
+    masked = [MaskedSequence(list(seq), [1], [seq[1]]) for seq in ids]
+    rip_loss(PretrainBatch(["p0", "p1"], [], ids, masked), model, prompts)
+
+
+def _mlm_loss(model, prompts):
+    ids = model.vocab.encode(TINY_TEXTS[0])
+    mlm_loss(model, [MaskedSequence(ids, [1], [ids[1]])], prompts)
+
+
+# every way from a prompt set into a forward; each goes through prefix_kv's one check
+ENTRY_POINTS = {
+    "encode": lambda model, ps: encode(model, ps, model.vocab.encode("the cat sat.")),
+    "encode_corpus": lambda model, ps: encode_corpus([("p0", TINY_TEXTS[0])], model, ps),
+    "dense_retriever": _dense_query,
+    "train_step": _train_step,
+    "rip_loss": _rip_loss,
+    "mlm_loss": _mlm_loss,
+}
+# (prompt length, hidden size, layer count) against the tiny backbone's (4, 16, 2)
+GOOD_GEOMETRY = {"pinned_length": (4, 16, 2), "empty": (0, 16, 2)}
+BAD_GEOMETRY = {"hidden_size": (4, 32, 2), "layer_count": (4, 16, 3), "pinned_length": (6, 16, 2),
+                "empty_hidden_size": (0, 32, 2), "empty_layer_count": (0, 16, 3)}
+
+
+class TestPromptGeometry:
+    @pytest.mark.parametrize("geometry", GOOD_GEOMETRY.values(), ids=GOOD_GEOMETRY)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_matching_set_accepted(self, tiny_model, entry, geometry):
+        entry(tiny_model, PromptSet.create("fits", *geometry))
+
+    @pytest.mark.parametrize("geometry", BAD_GEOMETRY.values(), ids=BAD_GEOMETRY)
+    @pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_wrong_geometry_rejected(self, tiny_model, entry, geometry):
+        with pytest.raises(ValueError, match="prompt (hidden size|layer count|length)"):
+            entry(tiny_model, PromptSet.create("wrong", *geometry))
+
+
 def _invariance_models():
     vocab = Vocabulary.build(TINY_TEXTS)
     tiny = make_tiny_model(vocab)
@@ -173,7 +228,7 @@ class TestPackedForward:
         cfg = model.config
         batch = [[CLS_ID] + rng.integers(0, cfg.vocab_size, size=min(n, cfg.max_seq_len) - 1).tolist()
                  for n in lengths]
-        prefix = role_prefix(model, prompts if with_prefix else None, "passage")
+        prefix = prefix_kv(model, prompts if with_prefix else None, "passage")
         assert_batch_invariant(model, prefix, batch)
 
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
@@ -184,7 +239,7 @@ class TestPackedForward:
         rng = np.random.default_rng(5)
         batch = [[CLS_ID] + rng.integers(5, cfg.vocab_size, size=n - 1).tolist()
                  for n in rng.permutation(np.arange(1, cfg.max_seq_len + 1))]
-        prefix = role_prefix(model, prompts if with_prefix else None, "query")
+        prefix = prefix_kv(model, prompts if with_prefix else None, "query")
         assert_batch_invariant(model, prefix, batch)
 
     def test_batch_gradients_match_lone_sum(self, tiny_model, tiny_prompts):
@@ -192,7 +247,7 @@ class TestPackedForward:
         tiny_model.set_trainable(False)
         seqs = [tiny_model.vocab.encode(t) for t in ("the cat sat.", "dogs chase the red ball.")]
         w = Tensor(np.random.default_rng(4).normal(size=(2, tiny_model.config.hidden_size)))
-        prefix = role_prefix(tiny_model, tiny_prompts, "query")
+        prefix = prefix_kv(tiny_model, tiny_prompts, "query")
         backward(ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w)))
         packed = [p.grad.copy() for p in tiny_prompts.parameters()]
         tiny_prompts.set_trainable(True)
@@ -373,6 +428,11 @@ class TestSerialization:
         b = [m.data for m in loaded.realize("passage")]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("edit", BAD_PROMPTSET_HEADERS.values(), ids=BAD_PROMPTSET_HEADERS)
+    def test_promptset_header_strict(self, tiny_prompts, edit):
+        with pytest.raises(ValueError):
+            promptset_from_json(edit(promptset_to_json(tiny_prompts)))
 
     def test_truncated_checkpoint_rejected(self, tiny_model):
         blob = serialize_model(tiny_model)

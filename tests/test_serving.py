@@ -18,7 +18,8 @@ from promptir import serving
 from promptir.serving import EncodingService, ServiceError, running_server
 from promptir.tokenizer import CLS_ID, SEP_ID
 
-from conftest import get_json, make_tiny_model, make_tiny_prompts, post_json
+from conftest import (BAD_PROMPTSET_HEADERS, get_json, make_tiny_model, make_tiny_prompts,
+                      post_json)
 
 TEXTS = ["the cat sat on the mat.", "", "bright stars fill the sky far from the city lights."]
 
@@ -119,6 +120,18 @@ class TestRequests:
             status, body = post_error(srv.base_url + "/prompts", doc)
         assert status == 400 and body["code"] == "dimension_mismatch"
 
+    @pytest.mark.parametrize("inline", [False, True])
+    @pytest.mark.parametrize("edit", BAD_PROMPTSET_HEADERS.values(), ids=BAD_PROMPTSET_HEADERS)
+    def test_bad_promptset_header_on_both_paths(self, served, inline, edit):
+        srv, _, sets, _ = served
+        doc = edit(promptset_to_json(sets["shared"]))
+        if inline:
+            status, body = post_error(srv.base_url + "/encode",
+                                      {"text": "the cat", "inline_prompt": doc})
+        else:
+            status, body = post_error(srv.base_url + "/prompts", doc)
+        assert status == 400 and body["code"] == "bad_promptset"
+
     @pytest.mark.parametrize("fields, code", [
         ({"prompt_id": ["x"]}, "bad_request"), ({"prompt_id": 7}, "bad_request"),
         ({"text": 5}, "bad_request"), ({"text": ["the", "cat"]}, "bad_request"),
@@ -189,6 +202,6 @@ def test_inline_prompt_projects_one_role(served, monkeypatch, role):
     request = {"text": TEXTS[0], "role": role, "precision": "f64",
                "inline_prompt": promptset_to_json(sets["separate"])}
     vec = service.encode_vector(request)
-    assert len(calls) == 1
+    assert [args[2] for args in calls] == [role]
     np.testing.assert_array_equal(
         vec, encode(model, sets["separate"], model.vocab.encode(TEXTS[0]), role=role))
