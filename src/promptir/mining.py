@@ -5,9 +5,11 @@ fixed relevance threshold, and hybrid assembly of training examples from
 denoised plus un-denoised candidates. Dense candidates come from
 vector_index.DenseRetriever, re-exported here. A denoising scorer is any
 object with score(query_text, passage_text) -> relevance in [0, 1];
-LexicalOverlapScorer is the built-in one. Pools live in memory and are
-not written out. Known positives of a query never survive into any
-sample.
+LexicalOverlapScorer is the built-in one. It reads each text's content
+words from one process-wide cache, bounded at 65,536 texts: queries and
+passages recur across candidates, so nearly every lookup is a hit. Pools
+live in memory and are not written out. Known positives of a query never
+survive into any sample.
 
 BM25 parameters k1=0.9, b=0.4; the non-negative idf variant
 ln((N - df + 0.5) / (df + 0.5) + 1). The index tokenizes with the same
@@ -16,8 +18,10 @@ word splitter as the encoder vocabulary's raw token stream.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -97,15 +101,23 @@ def bm25_search(index, query_text, k):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=1 << 16)
+def _word_set(text):
+    """A text's distinct content words as interned strings, in first-seen order.
+
+    A tuple, not a frozenset: it holds the cached texts in less memory.
+    """
+    return tuple(dict.fromkeys(map(sys.intern, content_words(text))))
+
+
 class LexicalOverlapScorer:
     """|query ∩ passage| / |query| over unique content words."""
 
     def score(self, query_text, passage_text):
-        q = set(content_words(query_text))
+        q = _word_set(query_text)
         if not q:
             return 0.0
-        p = set(content_words(passage_text))
-        return len(q & p) / len(q)
+        return len(set(q).intersection(_word_set(passage_text))) / len(q)
 
 
 # ---------------------------------------------------------------------------

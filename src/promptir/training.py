@@ -120,6 +120,8 @@ def unfreeze(model, prompts, mode, seed, task_name="task", separate_roles=False,
             reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden,
             separate_roles=separate_roles, seed=seed,
         )
+    if prompts.prompt_length == 0:
+        raise ValueError(f"{mode} mode trains prompts, but the prompt set has prompt_length 0")
     prompts.set_trainable(True)
     return prompts, prompts.parameters()
 

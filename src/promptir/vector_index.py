@@ -1,10 +1,12 @@
 """Exact inner-product vector index.
 
-No approximation anywhere: search is a full matrix-vector product plus an
-exact sort. Ties break by ascending passage id. The index records the
-fingerprint of the model that produced it. DenseRetriever is the one query
-path (fingerprint check, tokenize, encode, search); run_queries loops over
-it and mining uses it as its dense retriever.
+No approximation anywhere: search is a full matrix-vector product, an
+exact partial selection of the rows scoring at least the k-th best score
+(every tie included), then a sort of those survivors. Ties break by
+ascending passage id, so passage ids must be distinct. The index records
+the fingerprint of the model that produced it. DenseRetriever is the one
+query path (fingerprint check, tokenize, encode, search); run_queries
+loops over it and mining uses it as its dense retriever.
 
 An index lives in memory only. It is rebuilt from what training writes, the
 checkpoint and the prompt set, so it has no file format to trust.
@@ -36,6 +38,8 @@ class VectorIndex:
             raise ValueError("index contains non-finite vectors")
         self.vectors = vectors
         self.passage_ids = list(passage_ids)
+        if len(set(self.passage_ids)) != len(self.passage_ids):
+            raise ValueError("index has a duplicate passage id")
         self.fingerprint = fingerprint
         # tie-break key: position of each row's pid in ascending pid order
         order = np.argsort(np.array(self.passage_ids))
@@ -80,9 +84,15 @@ def search(index, query_vector, k):
         raise ValueError(
             f"search: query dimension {q.shape} does not match index ({index.dim},)"
         )
+    if not np.all(np.isfinite(q)):
+        raise ValueError("search: query vector has non-finite values")
     scores = index.vectors @ q
-    order = np.lexsort((index._pid_rank, -scores))[:k]
-    return [(index.passage_ids[int(i)], float(scores[int(i)])) for i in order]
+    rows = np.arange(len(scores))
+    if k < len(scores):  # keep every row scoring at least the k-th best, ties included
+        kth = np.partition(scores, len(scores) - k)[len(scores) - k]
+        rows = np.flatnonzero(scores >= kth)
+    order = rows[np.lexsort((index._pid_rank[rows], -scores[rows]))][:k]
+    return list(zip([index.passage_ids[i] for i in order.tolist()], scores[order].tolist()))
 
 
 class DenseRetriever:

@@ -8,7 +8,10 @@ pretraining loop that preceded the shared training skeleton. So
 test_golden.py pins the current code to both. The ``init`` hashes of a
 fresh checkpoint and fresh prompt payloads were recorded with the
 hand-written initializers that preceded the parameter shape tables, and
-must match bitwise. Regenerate only on a deliberate numerical change:
+must match bitwise, and so must the ``mining`` hash: every query's UNM pool
+(candidates, denoised list, assembled negatives with their tags) over a
+tiny synthetic corpus, recorded before the word-set cache and the partial
+top-k selection. Regenerate only on a deliberate numerical change:
 
     PYTHONPATH=src:tests python tests/golden.py
 """
@@ -20,11 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
+from promptir import synth
 from promptir.encoder import encode, serialize_model
+from promptir.mining import (DenseRetriever, LexicalOverlapScorer, assemble, bm25_build,
+                             bm25_search, denoise, mine)
 from promptir.pretrain import PretrainConfig, pretrain
 from promptir.prompts import promptset_to_json
 from promptir.tokenizer import Vocabulary
 from promptir.training import TrainConfig, TrainingExample, train
+from promptir.vector_index import encode_corpus
 
 from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
 
@@ -95,8 +102,33 @@ def init_hashes():
     return out
 
 
+def mining_hash():
+    """sha256 of every query's pool: candidates, denoised list, assembled negatives.
+
+    BM25 and dense retrieval each rank the top 10 of 24 passages, so both
+    the search cut-off and the denoiser's keep/drop decisions are pinned.
+    """
+    ds = synth.generate(synth.SynthConfig(num_topics=3, passages_per_topic=8,
+                                          queries_per_topic=4, seed=5))
+    model = make_tiny_model(Vocabulary.build([t for _, t in ds.corpus + ds.queries]), seed=3)
+    prompts = make_tiny_prompts(model, seed=4)
+    bm25 = bm25_build(ds.corpus)
+    retrievers = {"bm25": lambda text, n: bm25_search(bm25, text, n),
+                  "dense": DenseRetriever(encode_corpus(ds.corpus, model, prompts), model,
+                                          prompts)}
+    texts, rng, digest = dict(ds.corpus), np.random.default_rng(6), hashlib.sha256()
+    for qid, text in ds.queries:
+        pool = mine(qid, text, ds.qrels[qid], retrievers, top_n=10, sample_size=6, rng=rng)
+        denoise(pool, text, texts, LexicalOverlapScorer())
+        example = assemble(qid, text, ds.qrels[qid], pool, 3, 3, rng=rng)
+        record = [qid, [[c.pid, c.best_rank, c.best_tag, list(c.tags)] for c in pool.candidates],
+                  pool.denoised, list(zip(example.neg_pids, example.neg_tags))]
+        digest.update(json.dumps(record).encode("utf-8"))
+    return digest.hexdigest()
+
+
 def golden_values():
-    out = {"embeddings": {}, "losses": {}, "init": init_hashes()}
+    out = {"embeddings": {}, "losses": {}, "init": init_hashes(), "mining": mining_hash()}
     for case in CASES:
         model, prompts = build(case)
         cfg = model.config

@@ -5,7 +5,9 @@ the tiny backbones (tests/golden.py) must stay within GATE relative
 difference of tests/data/golden.json: the packed forward and the one
 cross-entropy contrastive loss sum in a different order than the code that
 recorded them, so they agree to rounding, not bitwise. Initialization draws
-the same numbers in the same order, so its hashes must match exactly.
+the same numbers in the same order, so its hashes must match exactly, and
+mining makes only exact decisions (ranks, set overlaps), so its pool hash
+must too.
 """
 
 import json
@@ -53,3 +55,7 @@ def test_rip_trajectory(got, mode, term):
 @pytest.mark.parametrize("name", ["backbone", *INIT_LAYOUTS])
 def test_init_bitwise(got, name):
     assert got["init"][name] == WANT["init"][name]
+
+
+def test_mining_bitwise(got):
+    assert got["mining"] == WANT["mining"]

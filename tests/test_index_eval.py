@@ -34,6 +34,13 @@ def brute_force_search(index, q, k):
     return scored[:k]
 
 
+def full_sort_search(index, q, k):
+    """Search as it was before partial selection: one lexsort of every row."""
+    scores = index.vectors @ np.asarray(q, dtype=np.float64)
+    order = np.lexsort((index._pid_rank, -scores))[:k]
+    return [(index.passage_ids[int(i)], float(scores[int(i)])) for i in order]
+
+
 class TestSearch:
     def test_equals_brute_force(self):
         rng = np.random.default_rng(0)
@@ -78,6 +85,35 @@ class TestSearch:
             search(index, np.ones(3), 0)
         with pytest.raises(ValueError, match="dimension"):
             search(index, np.ones(4), 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        index = VectorIndex(np.eye(3), ["a", "b", "c"], "fp")
+        with pytest.raises(ValueError, match="non-finite"):
+            search(index, [bad, 0.0, 0.0], 2)
+
+    def test_duplicate_passage_ids_rejected(self, tiny_vocab):
+        with pytest.raises(ValueError, match="duplicate passage id"):
+            VectorIndex(np.eye(3), ["a", "a", "b"], "fp")
+        model = make_tiny_model(tiny_vocab)
+        with pytest.raises(ValueError, match="duplicate passage id"):
+            encode_corpus([("p0", TINY_TEXTS[0]), ("p0", TINY_TEXTS[1])], model, None)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_full_sort_with_ties(self, seed):
+        # integer rows from a small pool: many exact ties, some straddling the
+        # k-th score; pids are shuffled against row order so ties break by pid
+        rng = np.random.default_rng(seed)
+        n, d = 24, 4
+        pool = rng.integers(-2, 3, size=(5, d)).astype(np.float64)
+        vectors = pool[rng.integers(0, len(pool), size=n)]
+        pids = [f"p{i:02d}" for i in rng.permutation(n)]
+        index = VectorIndex(vectors, pids, "fp")
+        queries = [rng.integers(-2, 3, size=d).astype(np.float64) for _ in range(5)]
+        queries += [np.zeros(d), rng.normal(size=d)]
+        for q in queries:
+            for k in [*range(1, n + 1), n + 5]:
+                assert search(index, q, k) == full_sort_search(index, q, k)
 
 
 class TestEncodeCorpus:

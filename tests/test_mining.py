@@ -19,7 +19,7 @@ from promptir.mining import (
     merge_candidates,
     mine,
 )
-from promptir.tokenizer import tokenize_words
+from promptir.tokenizer import content_words, tokenize_words
 from promptir.training import similarity
 from promptir.vector_index import encode_corpus
 from promptir.encoder import encode
@@ -252,6 +252,29 @@ class TestDenoise:
         pool = self._pool(list(passages))
         denoise(pool, query, passages, scorer, threshold=0.1)
         assert pool.denoised == ["none"]
+
+    @pytest.mark.parametrize("query,passage", [
+        ("alpha beta gamma", "beta gamma delta"),
+        ("The Cat, the CAT!", "a cat sat on the mat."),
+        ("repeat repeat once", "once once once"),
+        ("café au lait 42", "Café 42 noir"),
+        ("?! ... ,", "alpha beta"),
+        ("", "alpha beta"),
+        ("alpha beta", ""),
+        ("same words here", "same words here"),
+    ])
+    def test_lexical_overlap_equals_uncached_formula(self, query, passage):
+        def uncached(q_text, p_text):
+            q = set(content_words(q_text))
+            return len(q & set(content_words(p_text))) / len(q) if q else 0.0
+
+        scorer = LexicalOverlapScorer()
+        for _ in range(2):  # the second round reads cached word sets
+            assert scorer.score(query, passage) == uncached(query, passage)
+            assert scorer.score(passage, query) == uncached(passage, query)
+
+    def test_punctuation_only_query_scores_zero(self):
+        assert LexicalOverlapScorer().score("?! ... ,", "?! ... , alpha") == 0.0
 
     def test_scorer_failure_fails_closed(self, caplog):
         class Broken:

@@ -289,6 +289,14 @@ class TestPretrain:
         with pytest.raises(ValueError, match="backbone mode"):
             pretrain(corpus, model, PretrainConfig(mode="backbone"), prompts=ps)
 
+    @pytest.mark.parametrize("passed_in", [False, True], ids=["created", "passed_in"])
+    def test_prompts_only_rejects_empty_prompt_set(self, passed_in):
+        corpus = topic_corpus(12)
+        model = make_tiny_model(Vocabulary.build([t for _, t in corpus]), prompt_length=0)
+        ps = make_tiny_prompts(model) if passed_in else None
+        with pytest.raises(ValueError, match="prompt_length"):
+            pretrain(corpus, model, PretrainConfig(mode="prompts_only", epochs=1), prompts=ps)
+
     def test_zero_epochs_is_identity(self, tiny_vocab):
         corpus = topic_corpus(12)
         vocab = Vocabulary.build([t for _, t in corpus])

@@ -280,6 +280,14 @@ class TestTrain:
         with pytest.raises(ValueError, match="ft mode"):
             train(examples, corpus, model, prompts, TrainConfig(mode="ft", epochs=1))
 
+    @pytest.mark.parametrize("passed_in", [False, True], ids=["created", "passed_in"])
+    def test_dpt_rejects_empty_prompt_set(self, tiny_vocab, passed_in):
+        model = make_tiny_model(tiny_vocab, prompt_length=0)
+        prompts = make_tiny_prompts(model) if passed_in else None
+        corpus, examples = toy_retrieval_data(tiny_vocab, n_queries=2)
+        with pytest.raises(ValueError, match="prompt_length"):
+            train(examples, corpus, model, prompts, TrainConfig(mode="dpt", epochs=1))
+
     def test_epoch_artifacts_written(self, tiny_vocab, tmp_path):
         model = make_tiny_model(tiny_vocab)
         corpus, examples = toy_retrieval_data(tiny_vocab, n_queries=4)
