@@ -4,14 +4,18 @@ The backbone loads once and never changes for the process lifetime; its
 fingerprint is echoed in every response. Clients either register a prompt
 set (encoder.prefix_kv projects its per-layer prefix key/value tensors
 once, at registration) and encode by prompt_id, or ship the prompt set
-inline with each request. Nothing requires a gradient, so the prefixes
-carry no tape; tests/test_serving.py checks served vectors against encode().
+inline with each request. The registry keeps only the projected prefixes,
+{"query": prefix, "passage": prefix} per prompt_id, a shared set's one
+prefix under both keys; the prompt set itself is dropped. Nothing requires
+a gradient, so the prefixes carry no tape; tests/test_serving.py checks
+served vectors against encode().
 
 Endpoints:
-    GET  /health            -> {"status": "ok", "fingerprint": ...}
-    GET  /model             -> {"config": {...}, "fingerprint": ...}
-    POST /prompts           -> prompt-set file JSON -> {"prompt_id": ...}
-    POST /encode            -> EncodeRequest -> EncodeResponse
+    GET    /health          -> {"status": "ok", "fingerprint": ...}
+    GET    /model           -> {"config": {...}, "fingerprint": ...}
+    POST   /prompts         -> prompt-set file JSON -> {"prompt_id": ...}
+    DELETE /prompts/<id>    -> {"prompt_id": ...}; the id then gets 404
+    POST   /encode          -> EncodeRequest -> EncodeResponse
 
 EncodeRequest: exactly one of {"prompt_id", "inline_prompt"}; exactly one
 of {"text", "token_ids"}; optional "role" in {"query", "passage"} (default
@@ -26,6 +30,12 @@ Content-Length that is not a non-negative integer, gets 400 bad_request
 (an inline_prompt that is not a prompt-set object gets 400 bad_promptset,
 one whose geometry prefix_kv rejects 400 dimension_mismatch);
 for a bad Content-Length the body is not read and the connection closes.
+An unknown prompt_id, to encode or to delete, gets 404 unknown_prompt.
+
+Connections are kept alive, with TCP_NODELAY set and the writer buffered,
+so each reply's headers and body leave in one send when the request ends.
+Two sends without TCP_NODELAY let Nagle's algorithm hold the body until
+the client's delayed ACK, about 40 ms per keep-alive reply.
 """
 
 from __future__ import annotations
@@ -65,30 +75,37 @@ class EncodingService:
         model.set_trainable(False)
         self.model = model
         self.fingerprint = model.fingerprint()
-        self._registry = {}  # prompt_id -> (prompt set, {role group: prefix})
+        self._registry = {}  # prompt_id -> {"query": prefix, "passage": prefix}
         self._ids = itertools.count()
         self._lock = threading.Lock()
 
     # -- prompt registration -------------------------------------------------
 
-    def _prefixes(self, doc, roles=None):
-        """(prompt set, {role: prefix}) of a prompt-set document, for the
-        given roles or else the set's own role groups."""
+    def _prefixes(self, doc, roles):
+        """{role: prefix} of a prompt-set document for the given roles; a
+        shared set is projected once and its prefix serves every role."""
         try:
             ps = promptset_from_json(doc)
         except (KeyError, ValueError, TypeError) as exc:
             raise ServiceError(400, "bad_promptset", f"invalid prompt set: {exc}")
         try:
-            return ps, {role: prefix_kv(self.model, ps, role) for role in roles or ps.roles}
+            if ps.shared:
+                return dict.fromkeys(roles, prefix_kv(self.model, ps, "shared"))
+            return {role: prefix_kv(self.model, ps, role) for role in roles}
         except ValueError as exc:
             raise ServiceError(400, "dimension_mismatch", str(exc))
 
     def register(self, doc):
-        entry = self._prefixes(doc)
+        entry = self._prefixes(doc, ("query", "passage"))
         with self._lock:
             prompt_id = f"prompt-{next(self._ids):04d}"
             self._registry[prompt_id] = entry
         return prompt_id
+
+    def unregister(self, prompt_id):
+        with self._lock:
+            if self._registry.pop(prompt_id, None) is None:
+                raise ServiceError(404, "unknown_prompt", f"no prompt {prompt_id!r}")
 
     # -- encoding -------------------------------------------------------------
 
@@ -104,14 +121,13 @@ class EncodingService:
         if role not in ("query", "passage"):
             raise ServiceError(400, "bad_request", f"unknown role {role!r}")
         if has_inline:
-            return self._prefixes(request["inline_prompt"], [role])[1][role]
+            return self._prefixes(request["inline_prompt"], (role,))[role]
         if not isinstance(request["prompt_id"], str):
             raise ServiceError(400, "bad_request", "prompt_id must be a string")
         entry = self._registry.get(request["prompt_id"])
         if entry is None:
             raise ServiceError(404, "unknown_prompt", f"no prompt {request['prompt_id']!r}")
-        ps, prefixes = entry
-        return prefixes[ps.resolve_role(role)]
+        return entry[role]
 
     def _resolve_tokens(self, request):
         has_text = "text" in request
@@ -153,14 +169,11 @@ class EncodingService:
         start = time.perf_counter()
         vec = self.encode_vector(request)
         precision = request.get("precision", "f32")
-        if precision == "f64":
-            numbers = [float(x) for x in vec]
-        elif precision == "f32":
-            numbers = [float(np.float32(x)) for x in vec]
-        else:
+        dtypes = {"f64": np.float64, "f32": np.float32}
+        if precision not in dtypes:
             raise ServiceError(400, "bad_request", f"unknown precision {precision!r}")
         return {
-            "vector": numbers,
+            "vector": vec.astype(dtypes[precision]).tolist(),
             "fingerprint": self.fingerprint,
             "timing_ms": (time.perf_counter() - start) * 1e3,
         }
@@ -180,6 +193,8 @@ class EncodingService:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # TCP_NODELAY
+    wbufsize = -1  # headers and body leave in one send, at the end of each request
 
     @property
     def service(self):
@@ -244,14 +259,25 @@ class _Handler(BaseHTTPRequestHandler):
                 else:
                     self._send_json(200, self.service.encode_response(request))
             else:
-                self._send_json(404, {"code": "not_found", "message": self.path,
-                                      "detail": {}})
+                raise ServiceError(404, "not_found", self.path)
         except ServiceError as err:
             self._send_json(err.status, err.to_body())
         except Exception as exc:  # defensive: never drop the connection silently
             log.exception("unhandled error")
             self._send_json(500, {"code": "internal_error", "message": str(exc),
                                   "detail": {}})
+
+    def do_DELETE(self):
+        if self.headers.get("Content-Length", "0") != "0":
+            self.close_connection = True  # an unread body would be taken for the next request
+        head, _, prompt_id = self.path.rpartition("/")
+        try:
+            if head != "/prompts":
+                raise ServiceError(404, "not_found", self.path)
+            self.service.unregister(prompt_id)
+            self._send_json(200, {"prompt_id": prompt_id})
+        except ServiceError as err:
+            self._send_json(err.status, err.to_body())
 
 
 def make_server(model, host="127.0.0.1", port=0):

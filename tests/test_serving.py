@@ -6,12 +6,14 @@ to float32 rounding for JSON f32 and application/octet-stream replies.
 
 import http.client
 import json
+import time
 import urllib.error
 from urllib.parse import urlsplit
 
 import numpy as np
 import pytest
 
+from promptir.autodiff import Tensor
 from promptir.encoder import encode
 from promptir.prompts import PromptSet, promptset_to_json
 from promptir import serving
@@ -39,6 +41,27 @@ def post_error(url, body):
     with pytest.raises(urllib.error.HTTPError) as exc:
         post_json(url, body)
     return exc.value.code, json.loads(exc.value.read().decode("utf-8"))
+
+
+def connect(srv):
+    url = urlsplit(srv.base_url)
+    return http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+
+
+def exchange(conn, method, path, body=None, headers=None):
+    """One request on an open connection; (status, headers, raw body)."""
+    conn.request(method, path, body, headers or {})
+    resp = conn.getresponse()
+    return resp.status, resp.headers, resp.read()
+
+
+def delete(srv, path, body=None):
+    conn = connect(srv)
+    try:
+        status, headers, raw = exchange(conn, "DELETE", path, body)
+    finally:
+        conn.close()
+    return status, headers, json.loads(raw.decode("utf-8"))
 
 
 def prompt_fields(ps_name, served, inline):
@@ -162,7 +185,97 @@ class TestRequests:
                                                        "fingerprint": model.fingerprint()}
 
 
+@pytest.mark.parametrize("ps_name", ["shared", "separate"])
+def test_registry_keeps_only_prefixes(served, ps_name):
+    srv, _, _, ids = served
+    entry = srv.server.service._registry[ids[ps_name]]
+    assert sorted(entry) == ["passage", "query"]
+    assert (entry["query"] is entry["passage"]) == (ps_name == "shared")
+    # pairs of tapeless tensors, so no PromptSet is reachable from the entry
+    for prefix in entry.values():
+        for pair in prefix:
+            assert [type(t) for t in pair] == [Tensor, Tensor]
+            assert all(t._parents == () and not t.requires_grad for t in pair)
+
+
+@pytest.mark.parametrize("precision, formula", [
+    ("f32", lambda vec: [float(np.float32(x)) for x in vec]),
+    ("f64", lambda vec: [float(x) for x in vec]),
+])
+def test_reply_vector_equals_elementwise_formula(served, monkeypatch, precision, formula):
+    _, model, _, _ = served
+    service = EncodingService(model)
+    rng = np.random.default_rng(0)
+    vectors = [rng.normal(size=64) * scale for scale in (1e-42, 1e-8, 1.0, 1e20)]
+    vectors.append(np.array([0.0, -0.0, 1 + 2.0 ** -24, 1 + 3 * 2.0 ** -24, -1e-45, 7e-46]))
+    for vec in vectors:
+        monkeypatch.setattr(service, "encode_vector", lambda request, vec=vec: vec)
+        numbers = service.encode_response({"precision": precision})["vector"]
+        assert json.dumps(numbers) == json.dumps(formula(vec))
+
+
+class TestDelete:
+    def test_deleted_prompt_is_404(self, served):
+        srv, _, sets, _ = served
+        doc = promptset_to_json(sets["separate"])
+        prompt_id = post_json(srv.base_url + "/prompts", doc)[0]["prompt_id"]
+        request = {"text": "the cat", "prompt_id": prompt_id}
+        post_json(srv.base_url + "/encode", request)
+        status, _, body = delete(srv, "/prompts/" + prompt_id)
+        assert (status, body) == (200, {"prompt_id": prompt_id})
+        assert prompt_id not in srv.server.service._registry
+        status, body = post_error(srv.base_url + "/encode", request)
+        assert status == 404 and body["code"] == "unknown_prompt"
+
+    @pytest.mark.parametrize("path, code", [("/prompts/nope", "unknown_prompt"),
+                                            ("/prompts/", "unknown_prompt"),
+                                            ("/encode/prompt-0000", "not_found")])
+    def test_unknown_id_or_path_is_404(self, served, path, code):
+        srv, _, _, _ = served
+        before = dict(srv.server.service._registry)
+        status, _, body = delete(srv, path)
+        assert status == 404 and body["code"] == code
+        assert srv.server.service._registry == before
+
+    def test_body_closes_connection(self, served):
+        srv, _, _, _ = served
+        status, headers, body = delete(srv, "/prompts/nope", body=b"{}")
+        assert status == 404 and body["code"] == "unknown_prompt"
+        assert headers["Connection"] == "close"
+
+
 class TestTransport:
+    def test_keep_alive_replies_do_not_stall(self, served):
+        srv, model, _, ids = served
+        d = model.config.hidden_size
+        body = json.dumps({"text": TEXTS[0], "prompt_id": ids["shared"]})
+        json_headers = {"Content-Type": "application/json"}
+        conn = connect(srv)
+        try:
+            conn.connect()
+            conn.auto_open = 0  # a request that would need a new connection raises
+            # a reply sent as two writes waits about 40 ms for the client's
+            # delayed ACK; sent as one it takes a few ms in process
+            rtts = []
+            for _ in range(20):
+                start = time.perf_counter()
+                status, _, raw = exchange(conn, "POST", "/encode", body, json_headers)
+                rtts.append(time.perf_counter() - start)
+                assert status == 200 and len(json.loads(raw)["vector"]) == d
+            status, headers, raw = exchange(conn, "POST", "/encode", body, {
+                **json_headers, "Accept": "application/octet-stream"})
+            assert status == 200 and len(raw) == 4 * d
+            assert headers["X-Model-Fingerprint"] == model.fingerprint()
+            status, _, raw = exchange(conn, "POST", "/encode",
+                                      json.dumps({"text": "x", "prompt_id": "nope"}), json_headers)
+            assert status == 404 and json.loads(raw)["code"] == "unknown_prompt"
+            status, _, raw = exchange(conn, "POST", "/encode", body, json_headers)
+            assert status == 200 and len(json.loads(raw)["vector"]) == d
+        finally:
+            conn.close()
+        assert np.median(rtts) < 0.020
+
+
     @pytest.mark.parametrize("path, body", [("/prompts", []), ("/encode", 5),
                                             ("/encode", "the cat")])
     def test_non_object_body_is_400(self, served, path, body):
@@ -173,9 +286,8 @@ class TestTransport:
     @pytest.mark.parametrize("length", ["-1", "abc", "1.5", ""])
     def test_bad_content_length_is_400_without_reading(self, served, length):
         srv, _, _, _ = served
-        url = urlsplit(srv.base_url)
         # a server that tried to read the body would block past the timeout
-        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=5)
+        conn = connect(srv)
         try:
             conn.putrequest("POST", "/encode", skip_accept_encoding=True)
             conn.putheader("Content-Length", length)
