@@ -2,9 +2,9 @@
 
 Define-by-run: every op computes its result eagerly and records a closure
 for the backward pass. The op set is intentionally small -- exactly what a
-small transformer encoder and its retrieval losses need. Tensors default to
-float64 so central finite differences are a meaningful oracle for every
-gradient rule.
+small transformer encoder and its retrieval losses need; linear fuses a
+matmul and its row-bias add into one op. Tensors default to float64 so
+central finite differences are a meaningful oracle for every gradient rule.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ __all__ = [
     "ShapeError",
     "MissingGradientError",
     "matmul",
+    "linear",
     "transpose",
     "add",
     "mul",
@@ -96,13 +97,15 @@ def _node(data, parents, grad_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
-    out.requires_grad = any(p.requires_grad for p in parents)
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._grad_fn = grad_fn
-    else:
-        out._parents = ()
-        out._grad_fn = None
+    for p in parents:  # a plain loop: any() over a generator costs more per op
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = tuple(parents)
+            out._grad_fn = grad_fn
+            return out
+    out.requires_grad = False
+    out._parents = ()
+    out._grad_fn = None
     return out
 
 
@@ -120,15 +123,19 @@ def _accum(t, g):
 # ---------------------------------------------------------------------------
 
 
+def _product(a, b):
+    """a @ b of 2-D arrays; each output row's bits depend only on its own row of a."""
+    if a.shape[0] == 1:
+        # numpy sends a one-row product to gemv, which rounds unlike gemm
+        return (np.concatenate([a, a]) @ b)[:1]
+    return a @ b
+
+
 def matmul(a, b):
     """2-D matrix product; each output row's bits depend only on its own row of a."""
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
-    if a.shape[0] == 1:
-        # numpy sends a one-row product to gemv, which rounds unlike gemm
-        out_data = (np.concatenate([a.data, a.data]) @ b.data)[:1]
-    else:
-        out_data = a.data @ b.data
+    out_data = _product(a.data, b.data)
 
     def grad_fn(g):
         if a.requires_grad:
@@ -137,6 +144,24 @@ def matmul(a, b):
             _accum(b, a.data.T @ g)
 
     return _node(out_data, (a, b), grad_fn)
+
+
+def linear(x, w, b):
+    """x @ w + b with a row bias: add(matmul(x, w), b) in one op, bitwise."""
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
+        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    out_data = _product(x.data, w.data)
+    out_data += b.data
+
+    def grad_fn(g):
+        if x.requires_grad:
+            _accum(x, g @ w.data.T)
+        if w.requires_grad:
+            _accum(w, x.data.T @ g)
+        if b.requires_grad:
+            _accum(b, g.sum(axis=0))
+
+    return _node(out_data, (x, w, b), grad_fn)
 
 
 def transpose(a):
@@ -223,14 +248,16 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
     spans = list(zip(offsets[:-1], offsets[1:]))
     keep = any(t.requires_grad for t in parents)
     out_data = np.empty_like(q.data)
+    pkh, pvh = heads(pk.data), heads(pv.data)
     saved = []  # per sequence: q, k, v heads and the attention weights
     for lo, hi in spans:
         qh = heads(q.data[lo:hi])
-        kh = np.concatenate([heads(pk.data), heads(k.data[lo:hi])], axis=1)
-        vh = np.concatenate([heads(pv.data), heads(v.data[lo:hi])], axis=1)
+        kh = np.concatenate([pkh, heads(k.data[lo:hi])], axis=1)
+        vh = np.concatenate([pvh, heads(v.data[lo:hi])], axis=1)
         s = (qh @ kh.transpose(0, 2, 1)) * c
-        e = np.exp(s - s.max(axis=-1, keepdims=True))
-        probs = e / e.sum(axis=-1, keepdims=True)
+        # the ufunc reductions that ndarray.max and .sum wrap, minus the wrapper
+        e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
+        probs = e / np.add.reduce(e, axis=-1, keepdims=True)
         out_data[lo:hi] = merge(probs @ vh)
         if keep:
             saved.append((qh, kh, vh, probs))
@@ -248,7 +275,7 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
                 gv[lo:hi] = merge(dv[:, l:])
             if q.requires_grad or need_k:
                 dp = gh @ vh.transpose(0, 2, 1)
-                ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True)) * c
+                ds = probs * (dp - np.add.reduce(dp * probs, axis=-1, keepdims=True)) * c
                 if q.requires_grad:
                     gq[lo:hi] = merge(ds @ kh)
                 if need_k:
@@ -266,17 +293,20 @@ def layer_norm(x, gain, bias, eps=1e-5):
     """Per-row layer norm over the last axis with learnable gain and bias."""
     if x.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
         raise ShapeError("layer_norm", x.shape, gain.shape)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    # centered once; bitwise np.mean and np.var, which sum with add.reduce
+    # and divide by n, without their Python wrappers
+    n = x.shape[1]
+    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv_std
+    xhat = xc * inv_std
     out_data = xhat * gain.data + bias.data
 
     def grad_fn(g):
         if x.requires_grad:
             d_xhat = g * gain.data
-            m = d_xhat.mean(axis=-1, keepdims=True)
-            mx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+            m = np.add.reduce(d_xhat, axis=-1, keepdims=True) / n
+            mx = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / n
             _accum(x, inv_std * (d_xhat - m - xhat * mx))
         if gain.requires_grad:
             _accum(gain, (g * xhat).sum(axis=0))

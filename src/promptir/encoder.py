@@ -174,9 +174,8 @@ def prefix_kv(model, prompts, role):
     pairs = []
     for k, m in enumerate(prompts.realize(role)):
         base = f"layer{k}."
-        keys = ad.add(ad.matmul(m, p[base + "wk"]), p[base + "bk"])
-        values = ad.add(ad.matmul(m, p[base + "wv"]), p[base + "bv"])
-        pairs.append((keys, values))
+        pairs.append((ad.linear(m, p[base + "wk"], p[base + "bk"]),
+                      ad.linear(m, p[base + "wv"], p[base + "bv"])))
     return pairs
 
 
@@ -213,7 +212,7 @@ def encode_states(model, sequences, prefix=None):
     offsets = np.cumsum([0] + lengths)
 
     def linear(x, base, name):
-        return ad.add(ad.matmul(x, p[base + "w" + name]), p[base + "b" + name])
+        return ad.linear(x, p[base + "w" + name], p[base + "b" + name])
 
     x = ad.add(ad.embedding_gather(p["tok_emb"], np.concatenate(seqs)),
                ad.embedding_gather(p["pos_emb"], np.concatenate([np.arange(n) for n in lengths])))
@@ -235,16 +234,23 @@ def pooled(model, sequences, prefix=None):
     return ad.embedding_gather(states, offsets[:-1])
 
 
+def inference_prefix(model, prompts, role):
+    """prefix_kv detached from the prompt parameters: with a frozen backbone
+    a forward over it records no tape, whatever the prompts' flags. It is a
+    snapshot; prompts trained afterwards need a new one."""
+    prefix = prefix_kv(model, prompts, role)
+    return None if prefix is None else [(Tensor(k.data), Tensor(v.data)) for k, v in prefix]
+
+
 def encode_batch(model, prompts, sequences, role="query"):
     """Inference encode of a batch: (n, d) first-token vectors as ndarray.
 
-    The prefix is detached from the prompt parameters, so with a frozen
-    backbone the forward records no tape, whatever the prompts' flags.
+    prompts is a prompt set or None, projected here for role, or a list
+    that inference_prefix already made, used as it is.
     """
-    prefix = prefix_kv(model, prompts, role)
-    if prefix is not None:
-        prefix = [(Tensor(k.data), Tensor(v.data)) for k, v in prefix]
-    return pooled(model, sequences, prefix).data
+    if not isinstance(prompts, list):
+        prompts = inference_prefix(model, prompts, role)
+    return pooled(model, sequences, prompts).data
 
 
 def encode(model, prompts, token_ids, role="query"):
@@ -289,7 +295,7 @@ def apply_mlm_masking(ids, vocab_size, rng, rate=0.15):
 def mlm_logits(model, states, positions):
     """Tied-head logits at the given row positions of a states tensor."""
     rows = ad.embedding_gather(states, positions)
-    return ad.add(ad.matmul(rows, ad.transpose(model.params["tok_emb"])), model.params["mlm_bias"])
+    return ad.linear(rows, ad.transpose(model.params["tok_emb"]), model.params["mlm_bias"])
 
 
 def mlm_loss(model, batch, prompts=None, role="query"):

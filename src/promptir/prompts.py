@@ -143,8 +143,8 @@ class PromptSet:
         group = self.groups[self.resolve_role(role)]
         if self.reparam_mode == "direct_embedding":
             return [group[f"m{k}"] for k in range(self.num_layers)]
-        hidden = ad.tanh(ad.add(ad.matmul(group["source"], group["w1"]), group["b1"]))
-        flat = ad.add(ad.matmul(hidden, group["w2"]), group["b2"])
+        hidden = ad.tanh(ad.linear(group["source"], group["w1"], group["b1"]))
+        flat = ad.linear(hidden, group["w2"], group["b2"])
         d = self.hidden_size
         return [ad.slice_(flat, 1, k * d, (k + 1) * d) for k in range(self.num_layers)]
 

@@ -30,12 +30,16 @@ Content-Length that is not a non-negative integer, gets 400 bad_request
 (an inline_prompt that is not a prompt-set object gets 400 bad_promptset,
 one whose geometry prefix_kv rejects 400 dimension_mismatch);
 for a bad Content-Length the body is not read and the connection closes.
-An unknown prompt_id, to encode or to delete, gets 404 unknown_prompt.
+A chunked body (any Transfer-Encoding) gets 411 length_required, unread,
+and the connection closes. An unknown prompt_id, to encode or to delete,
+gets 404 unknown_prompt.
 
 Connections are kept alive, with TCP_NODELAY set and the writer buffered,
 so each reply's headers and body leave in one send when the request ends.
 Two sends without TCP_NODELAY let Nagle's algorithm hold the body until
-the client's delayed ACK, about 40 ms per keep-alive reply.
+the client's delayed ACK, about 40 ms per keep-alive reply. A read that
+waits longer than _Handler.timeout, on an idle connection or a body
+shorter than its Content-Length, closes the connection without a reply.
 """
 
 from __future__ import annotations
@@ -195,6 +199,7 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # TCP_NODELAY
     wbufsize = -1  # headers and body leave in one send, at the end of each request
+    timeout = 10.0  # seconds a read may wait; a stalled client no longer holds a thread
 
     @property
     def service(self):
@@ -214,6 +219,9 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self):
+        if "Transfer-Encoding" in self.headers:
+            self.close_connection = True  # the unread chunks would be taken for the next request
+            raise ServiceError(411, "length_required", "send the body with a Content-Length")
         length = self.headers.get("Content-Length", "0")
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True  # the unread body would be taken for the next request
@@ -262,13 +270,15 @@ class _Handler(BaseHTTPRequestHandler):
                 raise ServiceError(404, "not_found", self.path)
         except ServiceError as err:
             self._send_json(err.status, err.to_body())
+        except TimeoutError:
+            raise  # handle_one_request closes the connection without a reply
         except Exception as exc:  # defensive: never drop the connection silently
             log.exception("unhandled error")
             self._send_json(500, {"code": "internal_error", "message": str(exc),
                                   "detail": {}})
 
     def do_DELETE(self):
-        if self.headers.get("Content-Length", "0") != "0":
+        if self.headers.get("Content-Length", "0") != "0" or "Transfer-Encoding" in self.headers:
             self.close_connection = True  # an unread body would be taken for the next request
         head, _, prompt_id = self.path.rpartition("/")
         try:

@@ -5,8 +5,13 @@ exact partial selection of the rows scoring at least the k-th best score
 (every tie included), then a sort of those survivors. Ties break by
 ascending passage id, so passage ids must be distinct. The index records
 the fingerprint of the model that produced it. DenseRetriever is the one
-query path (fingerprint check, tokenize, encode, search); run_queries
-loops over it and mining uses it as its dense retriever.
+query path (fingerprint check, tokenize, encode, search) and mining's
+dense retriever. It projects its prompt prefix once, at construction, so a
+call only tokenizes, encodes and searches; the prefix is a snapshot of the
+prompts, and prompts trained afterwards need a new retriever. run_queries
+encodes ENCODE_BATCH queries per packed forward with one retriever's
+prefix, then searches them one at a time, so its rankings are bitwise a
+lone call's.
 
 An index lives in memory only. It is rebuilt from what training writes, the
 checkpoint and the prompt set, so it has no file format to trust.
@@ -18,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode, encode_batch
+from .encoder import encode, encode_batch, inference_prefix
 
-ENCODE_BATCH = 128  # passages per packed forward; bounds encode_corpus memory
+ENCODE_BATCH = 128  # sequences per packed forward; bounds encode_corpus memory
 
 
 @dataclass
@@ -57,9 +62,9 @@ class VectorIndex:
 def encode_corpus(corpus, model, prompts, role="passage"):
     """Encode every passage in corpus order into a fresh index.
 
-    Passages go through packed forwards of up to ENCODE_BATCH each; each
-    row is bitwise what encode() gives for that passage alone (see the
-    encoder module).
+    The prefix is projected once; passages go through packed forwards of
+    up to ENCODE_BATCH each, and each row is bitwise what encode() gives
+    for that passage alone (see the encoder module).
     """
     items = list(corpus.items()) if isinstance(corpus, dict) else list(corpus)
     seqs = []
@@ -68,11 +73,16 @@ def encode_corpus(corpus, model, prompts, role="passage"):
             seqs.append(model.vocab.encode(text, max_len=model.config.max_seq_len))
         except (AttributeError, TypeError) as exc:
             raise RuntimeError(f"failed to encode passage {pid}: {exc}") from exc
+    vecs = _encode_packed(model, inference_prefix(model, prompts, role), seqs)
+    return VectorIndex(vecs, [pid for pid, _ in items], model.fingerprint())
+
+
+def _encode_packed(model, prefix, seqs):
+    """(len(seqs), d) vectors, ENCODE_BATCH sequences per packed forward."""
     vecs = np.empty((len(seqs), model.config.hidden_size))
     for lo in range(0, len(seqs), ENCODE_BATCH):
-        vecs[lo:lo + ENCODE_BATCH] = encode_batch(model, prompts, seqs[lo:lo + ENCODE_BATCH],
-                                                  role=role)
-    return VectorIndex(vecs, [pid for pid, _ in items], model.fingerprint())
+        vecs[lo:lo + ENCODE_BATCH] = encode_batch(model, prefix, seqs[lo:lo + ENCODE_BATCH])
+    return vecs
 
 
 def search(index, query_vector, k):
@@ -98,8 +108,8 @@ def search(index, query_vector, k):
 class DenseRetriever:
     """Exact inner-product retrieval bound to one model/index pair.
 
-    Validates the index fingerprint against the model once, so per-query
-    calls stay cheap.
+    Validates the index fingerprint against the model and projects the
+    prompts' prefix once, so per-query calls stay cheap.
     """
 
     def __init__(self, index, model, prompts, role="query"):
@@ -111,15 +121,19 @@ class DenseRetriever:
             )
         self.index = index
         self.model = model
-        self.prompts = prompts
-        self.role = role
+        self.prefix = inference_prefix(model, prompts, role)
+
+    def tokens(self, query_text):
+        return self.model.vocab.encode(query_text, max_len=self.model.config.max_seq_len)
 
     def __call__(self, query_text, k):
-        ids = self.model.vocab.encode(query_text, max_len=self.model.config.max_seq_len)
-        return search(self.index, encode(self.model, self.prompts, ids, role=self.role), k)
+        return search(self.index, encode(self.model, self.prefix, self.tokens(query_text)), k)
 
 
 def run_queries(index, model, prompts, queries, k, role="query"):
     """Search every (qid, text) query; returns RetrievalResults in order."""
     retrieve = DenseRetriever(index, model, prompts, role=role)
-    return [RetrievalResult(query_id=qid, ranking=retrieve(text, k)) for qid, text in queries]
+    queries = list(queries)
+    vecs = _encode_packed(model, retrieve.prefix, [retrieve.tokens(text) for _, text in queries])
+    return [RetrievalResult(query_id=qid, ranking=search(index, vec, k))
+            for (qid, _), vec in zip(queries, vecs)]

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptir import autodiff as ad
 from promptir.autodiff import (
@@ -126,6 +128,12 @@ class TestOpGradChecks:
         a = rand_tensor(rng, 3, 4)
         w = Tensor(rng.normal(size=(3, 2)))
         self.check(lambda: ad.sum_all(ad.matmul(ad.transpose(a), w)), [a])
+
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_linear(self, rows):
+        rng = np.random.default_rng(14)
+        x, w, b = rand_tensor(rng, rows, 4), rand_tensor(rng, 4, 2), rand_tensor(rng, 2)
+        self.check(lambda: ad.sum_all(ad.mul(ad.linear(x, w, b), ad.linear(x, w, b))), [x, w, b])
 
     def test_add_broadcast_bias(self):
         rng = np.random.default_rng(12)
@@ -299,6 +307,59 @@ class TestFrozenOperandSkip:
         full = ad.matmul(a, b).data
         for i in range(9):
             np.testing.assert_array_equal(ad.matmul(Tensor(a.data[i:i + 1]), b).data[0], full[i])
+
+
+def old_layer_norm(x, gain, bias, g, eps=1e-5):
+    """The np.mean/np.var formula layer_norm replaced: output, then the
+    gradients of x, gain and bias for the upstream gradient g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv_std
+    d_xhat = g * gain
+    m = d_xhat.mean(axis=-1, keepdims=True)
+    mx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    return (xhat * gain + bias, inv_std * (d_xhat - m - xhat * mx), (g * xhat).sum(axis=0),
+            g.sum(axis=0))
+
+
+class TestBitwiseRewrites:
+    """Faster forms of an op give the bits of the formula they replaced."""
+
+    @given(rows=st.integers(1, 40), cols=st.integers(1, 80), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from([1e-3, 1.0, 1e3]), shift=st.sampled_from([0.0, 5.0, -1e4]))
+    @settings(max_examples=80, deadline=None)
+    def test_layer_norm_matches_mean_var_formula(self, rows, cols, seed, scale, shift):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(rows, cols)) * scale + shift, requires_grad=True)
+        gain, bias = rand_tensor(rng, cols), rand_tensor(rng, cols)
+        g = rng.normal(size=(rows, cols))
+        out = ad.layer_norm(x, gain, bias)
+        backward(ad.sum_all(ad.mul(out, Tensor(g))))
+        want = old_layer_norm(x.data, gain.data, bias.data, g)
+        for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 2, 7])
+    def test_linear_matches_add_of_matmul(self, rows):
+        rng = np.random.default_rng(38)
+        x, w, b = rand_tensor(rng, rows, 64), rand_tensor(rng, 64, 48), rand_tensor(rng, 48)
+        g = Tensor(rng.normal(size=(rows, 48)))
+        grads = []
+        for out in (ad.linear(x, w, b), ad.add(ad.matmul(x, w), b)):
+            backward(ad.sum_all(ad.mul(out, g)))
+            grads.append((out.data, x.grad, w.grad, b.grad))
+            for t in (x, w, b):
+                t.zero_grad()
+        for got, ref in zip(*grads):
+            np.testing.assert_array_equal(got, ref)
+
+    def test_linear_shapes_checked(self):
+        x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, w, Tensor(np.zeros(3)))
+        with pytest.raises(ShapeError, match="linear"):
+            ad.linear(x, Tensor(np.zeros((4, 4))), Tensor(np.zeros(4)))
 
 
 class TestAdamW:

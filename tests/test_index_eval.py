@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from promptir import vector_index
+from promptir import encoder, vector_index
 from promptir.encoder import encode
 from promptir.evaluation import (
     alignment_uniformity,
@@ -15,6 +15,7 @@ from promptir.evaluation import (
     recall_at_k,
 )
 from promptir.vector_index import (
+    DenseRetriever,
     RetrievalResult,
     VectorIndex,
     encode_corpus,
@@ -165,6 +166,58 @@ class TestEncodeCorpus:
         index = encode_corpus(corpus, model, None)
         with pytest.raises(ValueError, match="built with model"):
             run_queries(index, other, None, [("q0", "cat")], k=1)
+
+
+CORPUS = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS)]
+QUERIES = [(f"q{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat", "the cat sat"])]
+
+
+class TestQueries:
+    """DenseRetriever projects its prefix once; run_queries packs its queries."""
+
+    @pytest.mark.parametrize("per_forward", [3, 128])
+    @pytest.mark.parametrize("separate_roles", [False, True])
+    def test_run_queries_equals_retriever_calls(self, tiny_vocab, monkeypatch, per_forward,
+                                                separate_roles):
+        monkeypatch.setattr(vector_index, "ENCODE_BATCH", per_forward)
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model, separate_roles=separate_roles)
+        index = encode_corpus(CORPUS, model, prompts)
+        retrieve = DenseRetriever(index, model, prompts)
+        results = run_queries(index, model, prompts, QUERIES, k=5)
+        assert [r.query_id for r in results] == [qid for qid, _ in QUERIES]
+        for r, (_, text) in zip(results, QUERIES):
+            assert r.ranking == retrieve(text, 5)  # ids and scores, exactly
+
+    def test_calls_project_no_prefix(self, tiny_vocab, monkeypatch):
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        index = encode_corpus(CORPUS, model, prompts)
+        original, calls = encoder.prefix_kv, []
+
+        def counted(*args):
+            calls.append(args[2])
+            return original(*args)
+
+        monkeypatch.setattr(encoder, "prefix_kv", counted)
+        retrieve = DenseRetriever(index, model, prompts)
+        assert calls == ["query"]
+        for _, text in QUERIES:
+            retrieve(text, 3)
+        assert calls == ["query"]
+        run_queries(index, model, prompts, QUERIES, k=3)
+        assert calls == ["query", "query"]
+
+    def test_prefix_is_a_snapshot(self, tiny_vocab):
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        index = encode_corpus(CORPUS, model, prompts)
+        retrieve = DenseRetriever(index, model, prompts)
+        before = retrieve("the cat sat", 5)
+        for p in prompts.parameters():
+            p.data += 0.5
+        assert retrieve("the cat sat", 5) == before
+        assert DenseRetriever(index, model, prompts)("the cat sat", 5) != before
 
 
 def result(qid, pids):

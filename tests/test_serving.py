@@ -6,6 +6,8 @@ to float32 rounding for JSON f32 and application/octet-stream replies.
 
 import http.client
 import json
+import socket
+import threading
 import time
 import urllib.error
 from urllib.parse import urlsplit
@@ -298,6 +300,45 @@ class TestTransport:
             conn.close()
         assert resp.status == 400 and reply["code"] == "bad_request"
         assert resp.getheader("Connection") == "close"
+
+    def test_chunked_body_gets_one_411(self, served):
+        srv, _, _, ids = served
+        url = urlsplit(srv.base_url)
+        body = json.dumps({"text": "cat", "prompt_id": ids["shared"]}).encode()
+        request = (b"POST /encode HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
+                   b"Transfer-Encoding: chunked\r\n\r\n"
+                   + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(request)
+            raw = b""
+            while chunk := sock.recv(4096):  # the server closes after its reply
+                raw += chunk
+        head, _, rest = raw.partition(b"\r\n\r\n")
+        length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
+                          if line.lower().startswith(b"content-length:")))
+        assert head.startswith(b"HTTP/1.1 411 ") and b"Connection: close" in head
+        assert len(rest) == length  # one reply, nothing after it
+        assert json.loads(rest)["code"] == "length_required"
+
+    def test_short_body_times_out_and_closes(self, served, monkeypatch):
+        srv, _, _, _ = served
+        handlers = []
+        original = serving._Handler.handle
+
+        def handle(self):
+            handlers.append(threading.current_thread())
+            original(self)
+
+        # above every gap between one client's requests, under 1 s at serve's base rate
+        assert serving._Handler.timeout >= 5.0
+        monkeypatch.setattr(serving._Handler, "timeout", 0.2)
+        monkeypatch.setattr(serving._Handler, "handle", handle)
+        url = urlsplit(srv.base_url)
+        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+            sock.sendall(b"POST /encode HTTP/1.1\r\nHost: x\r\nContent-Length: 50\r\n\r\n{}")
+            assert sock.recv(4096) == b""  # closed without a reply, neither 400 nor 500
+        handlers[0].join(timeout=5)
+        assert not handlers[0].is_alive()
 
 
 @pytest.mark.parametrize("role", ["query", "passage"])
