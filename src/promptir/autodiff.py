@@ -110,12 +110,17 @@ def _node(data, parents, grad_fn):
 
 
 def _accum(t, g):
-    """Accumulate gradient g into tensor t (zero-initialized, additive)."""
+    """Accumulate gradient g into tensor t (zero-initialized, additive).
+
+    The first gradient is g + 0.0 into a fresh array: the bits of zeros
+    plus g (-0.0 becomes +0.0), without zeroing or calloc'ing it first.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +259,14 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
         qh = heads(q.data[lo:hi])
         kh = np.concatenate([pkh, heads(k.data[lo:hi])], axis=1)
         vh = np.concatenate([pvh, heads(v.data[lo:hi])], axis=1)
-        s = (qh @ kh.transpose(0, 2, 1)) * c
-        # the ufunc reductions that ndarray.max and .sum wrap, minus the wrapper
-        e = np.exp(s - np.maximum.reduce(s, axis=-1, keepdims=True))
-        probs = e / np.add.reduce(e, axis=-1, keepdims=True)
-        out_data[lo:hi] = merge(probs @ vh)
+        # scores become the weights in place; the ufunc reductions that
+        # ndarray.max and .sum wrap, minus the wrapper
+        probs = qh @ kh.transpose(0, 2, 1)
+        probs *= c
+        probs -= np.maximum.reduce(probs, axis=-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= np.add.reduce(probs, axis=-1, keepdims=True)
+        np.matmul(probs, vh, out=heads(out_data[lo:hi]))  # gemm writes the rows directly
         if keep:
             saved.append((qh, kh, vh, probs))
 
@@ -317,6 +325,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_GELU_BLOCK = 64  # rows per block of gelu's backward
 
 
 def gelu(a):
@@ -335,9 +344,15 @@ def gelu(a):
     out_data *= 0.5
 
     def grad_fn(g):
-        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-        deriv = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accum(a, g * deriv)
+        # in row blocks, so its temporaries stay small; elementwise, so bitwise
+        ga = np.empty_like(x)
+        for lo in range(0, len(x), _GELU_BLOCK):
+            rows = slice(lo, lo + _GELU_BLOCK)
+            xb, tb = x[rows], t[rows]
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
+            deriv = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * d_inner
+            np.multiply(g[rows], deriv, out=ga[rows])
+        _accum(a, ga)
 
     return _node(out_data, (a,), grad_fn)
 

@@ -16,7 +16,10 @@ Packed layout: one forward encodes a batch. The token rows of all
 sequences are stacked into one (sum T_i, d) matrix, with offsets marking
 where each starts, so every projection, layer norm and FFN runs once per
 layer; only autodiff.attention splits the rows by sequence. With no tape
-the same code is the inference path.
+the same code is the inference path. A forward's arrays grow with its row
+count, so bulk encoding (vector_index) packs up to a token-row budget,
+not a sequence count: past a few hundred rows the FFN's arrays leave the
+cache, and the allocator hands them back to the OS to be faulted in again.
 
 Batch invariance: a sequence's rows are bitwise the same alone or anywhere
 in any batch (TestPackedForward in tests/test_encoder.py). Row-wise ops
@@ -121,8 +124,14 @@ class EncoderModel:
         }
 
     def fingerprint(self):
-        """Stable hash of config, vocabulary, and all weights."""
-        return hashlib.sha256(serialize_model(self)).hexdigest()
+        """sha256 of the checkpoint bytes: config, vocabulary and all weights.
+
+        Streamed into the hash, not built as one blob, and computed afresh
+        on every call: optimizers and tests write weights in place.
+        """
+        digest = hashlib.sha256()
+        _write_model(self, digest.update)
+        return digest.hexdigest()
 
 
 def param_shapes(config):
@@ -245,10 +254,10 @@ def inference_prefix(model, prompts, role):
 def encode_batch(model, prompts, sequences, role="query"):
     """Inference encode of a batch: (n, d) first-token vectors as ndarray.
 
-    prompts is a prompt set or None, projected here for role, or a list
+    prompts is a prompt set, projected here for role, or None or a list
     that inference_prefix already made, used as it is.
     """
-    if not isinstance(prompts, list):
+    if not (prompts is None or isinstance(prompts, list)):
         prompts = inference_prefix(model, prompts, role)
     return pooled(model, sequences, prompts).data
 
@@ -321,27 +330,25 @@ def mlm_loss(model, batch, prompts=None, role="query"):
 # Array entry: u16 name_len | name utf-8 | u8 ndim | u32 dims... | f64 data.
 
 
-def serialize_model(model):
-    buf = io.BytesIO()
+def _write_model(model, write):
+    """Pass the checkpoint to write() piece by piece; arrays go as buffers."""
     header = json.dumps(
         {"config": model.config.to_dict(), "vocab": model.vocab.tokens},
         sort_keys=True,
     ).encode("utf-8")
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(header)))
-    buf.write(header)
+    write(CHECKPOINT_MAGIC + struct.pack("<II", CHECKPOINT_VERSION, len(header)) + header)
     names = sorted(model.params)
-    buf.write(struct.pack("<I", len(names)))
+    write(struct.pack("<I", len(names)))
     for name in names:
         arr = np.ascontiguousarray(model.params[name].data, dtype="<f8")
         nb = name.encode("utf-8")
-        buf.write(struct.pack("<H", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<B", arr.ndim))
-        for dim in arr.shape:
-            buf.write(struct.pack("<I", dim))
-        buf.write(arr.tobytes())
+        write(struct.pack(f"<H{len(nb)}sB{arr.ndim}I", len(nb), nb, arr.ndim, *arr.shape))
+        write(arr)
+
+
+def serialize_model(model):
+    buf = io.BytesIO()
+    _write_model(model, buf.write)
     return buf.getvalue()
 
 

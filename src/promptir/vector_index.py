@@ -9,9 +9,16 @@ query path (fingerprint check, tokenize, encode, search) and mining's
 dense retriever. It projects its prompt prefix once, at construction, so a
 call only tokenizes, encodes and searches; the prefix is a snapshot of the
 prompts, and prompts trained afterwards need a new retriever. run_queries
-encodes ENCODE_BATCH queries per packed forward with one retriever's
-prefix, then searches them one at a time, so its rankings are bitwise a
-lone call's.
+encodes its queries in packed forwards with one retriever's prefix, then
+searches them one at a time, so its rankings are bitwise a lone call's.
+
+Packed forwards hold consecutive sequences up to ROW_BUDGET token rows
+(one sequence longer than that gets a forward alone). A budget in rows,
+not sequences, keeps every array of a forward small -- the FFN's
+(rows, ffn) intermediates are the largest -- so a forward works in cache
+and the allocator reuses its memory rather than handing it back to the
+OS and faulting it in again for the next. Batch invariance keeps each
+row bitwise a lone encode whatever the budget.
 
 An index lives in memory only. It is rebuilt from what training writes, the
 checkpoint and the prompt set, so it has no file format to trust.
@@ -25,7 +32,7 @@ import numpy as np
 
 from .encoder import encode, encode_batch, inference_prefix
 
-ENCODE_BATCH = 128  # sequences per packed forward; bounds encode_corpus memory
+ROW_BUDGET = 256  # token rows per packed forward; see the module docstring
 
 
 @dataclass
@@ -63,8 +70,8 @@ def encode_corpus(corpus, model, prompts, role="passage"):
     """Encode every passage in corpus order into a fresh index.
 
     The prefix is projected once; passages go through packed forwards of
-    up to ENCODE_BATCH each, and each row is bitwise what encode() gives
-    for that passage alone (see the encoder module).
+    up to ROW_BUDGET token rows each, and each row is bitwise what encode()
+    gives for that passage alone (see the encoder module).
     """
     items = list(corpus.items()) if isinstance(corpus, dict) else list(corpus)
     seqs = []
@@ -78,10 +85,17 @@ def encode_corpus(corpus, model, prompts, role="passage"):
 
 
 def _encode_packed(model, prefix, seqs):
-    """(len(seqs), d) vectors, ENCODE_BATCH sequences per packed forward."""
+    """(len(seqs), d) vectors; each packed forward takes consecutive
+    sequences while their rows fit ROW_BUDGET, and at least one."""
     vecs = np.empty((len(seqs), model.config.hidden_size))
-    for lo in range(0, len(seqs), ENCODE_BATCH):
-        vecs[lo:lo + ENCODE_BATCH] = encode_batch(model, prefix, seqs[lo:lo + ENCODE_BATCH])
+    lo = rows = 0
+    for hi, ids in enumerate(seqs):
+        if hi > lo and rows + len(ids) > ROW_BUDGET:
+            vecs[lo:hi] = encode_batch(model, prefix, seqs[lo:hi])
+            lo, rows = hi, 0
+        rows += len(ids)
+    if lo < len(seqs):
+        vecs[lo:] = encode_batch(model, prefix, seqs[lo:])
     return vecs
 
 

@@ -1,6 +1,7 @@
 """Encoder forward contracts: prompt prefix behavior, pooling, MLM,
 parameter counts, and checkpoint round-trips."""
 
+import hashlib
 import json
 import math
 
@@ -500,6 +501,23 @@ class TestSerialization:
         fp1 = tiny_model.fingerprint()
         tiny_model.params["tok_emb"].data[0, 0] += 1.0
         assert tiny_model.fingerprint() != fp1
+
+    def test_fingerprint_hashes_the_checkpoint(self, tiny_model, tmp_path):
+        # streamed into the hash, so no blob; the digest is the checkpoint's
+        blob = serialize_model(tiny_model)
+        assert tiny_model.fingerprint() == hashlib.sha256(blob).hexdigest()
+        save_checkpoint(tiny_model, tmp_path / "model.ckpt")
+        assert (tmp_path / "model.ckpt").read_bytes() == blob
+
+    def test_fingerprint_changes_after_one_step(self, tiny_vocab):
+        # AdamW writes weights in place, so the hash is never cached
+        model = make_tiny_model(tiny_vocab)
+        model.set_trainable(True)
+        before = model.fingerprint()
+        ids = model.vocab.encode(TINY_TEXTS[0])
+        backward(mlm_loss(model, [MaskedSequence(ids, [1, 2], ids[1:3])]))
+        AdamW(model.parameters(), lr=1e-3).step()
+        assert model.fingerprint() != before
 
 
 class TestConfigValidation:

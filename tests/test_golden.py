@@ -7,7 +7,9 @@ cross-entropy contrastive loss sum in a different order than the code that
 recorded them, so they agree to rounding, not bitwise. Initialization draws
 the same numbers in the same order, so its hashes must match exactly, and
 mining makes only exact decisions (ranks, set overlaps), so its pool hash
-must too.
+must too. The forward hash pins those embeddings and trajectories bitwise
+as the packed forward computed them when it was recorded: changes that
+only repack rows or reorder memory traffic must leave every bit alone.
 """
 
 import json
@@ -59,3 +61,7 @@ def test_init_bitwise(got, name):
 
 def test_mining_bitwise(got):
     assert got["mining"] == WANT["mining"]
+
+
+def test_forward_bitwise(got):
+    assert got["forward"] == WANT["forward"]

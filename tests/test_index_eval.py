@@ -26,6 +26,12 @@ from promptir.vector_index import (
 from conftest import TINY_TEXTS, make_tiny_model, make_tiny_prompts
 
 
+# token rows per packed forward: one sequence each (every sequence has at
+# least 2 rows), two or three of the tiny texts (11-13 rows) each, and each
+# test's whole list (at most 108 rows) in one forward
+ROW_BUDGETS = [3, 30, 128]
+
+
 def brute_force_search(index, q, k):
     scored = [
         (pid, float(vec @ q))
@@ -129,10 +135,10 @@ class TestEncodeCorpus:
         np.testing.assert_array_equal(a.vectors, b.vectors)
         assert a.fingerprint == model.fingerprint()
 
-    @pytest.mark.parametrize("per_forward", [3, 128])
-    def test_rows_equal_lone_encode(self, tiny_vocab, monkeypatch, per_forward):
-        # packed forwards of per_forward passages; each row is bitwise the lone encode
-        monkeypatch.setattr(vector_index, "ENCODE_BATCH", per_forward)
+    @pytest.mark.parametrize("budget", ROW_BUDGETS)
+    def test_rows_equal_lone_encode(self, tiny_vocab, monkeypatch, budget):
+        # packed forwards of up to budget rows; each row is bitwise the lone encode
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", budget)
         model = make_tiny_model(tiny_vocab)
         prompts = make_tiny_prompts(model)
         corpus = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat"])]
@@ -140,6 +146,28 @@ class TestEncodeCorpus:
         for row, (pid, text) in enumerate(corpus):
             lone = encode(model, prompts, model.vocab.encode(text), role="passage")
             np.testing.assert_array_equal(index.vectors[row], lone, err_msg=pid)
+
+    @pytest.mark.parametrize("budget", [1, 12, *ROW_BUDGETS])
+    def test_forwards_fill_row_budget(self, tiny_vocab, monkeypatch, budget):
+        # consecutive passages per forward, added while they fit the budget;
+        # only a forward of one passage may exceed it (13 tokens > 12)
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", budget)
+        original, packs = vector_index.encode_batch, []
+
+        def counted(model, prefix, seqs):
+            packs.append([len(ids) for ids in seqs])
+            return original(model, prefix, seqs)
+
+        monkeypatch.setattr(vector_index, "encode_batch", counted)
+        model = make_tiny_model(tiny_vocab)
+        corpus = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat"])]
+        encode_corpus(corpus, model, None)
+        lengths = [len(model.vocab.encode(t, max_len=model.config.max_seq_len))
+                   for _, t in corpus]
+        assert [n for pack in packs for n in pack] == lengths
+        for pack, following in zip(packs, packs[1:] + [[budget + 1]]):
+            assert sum(pack) <= budget or len(pack) == 1
+            assert sum(pack) + following[0] > budget
 
     def test_empty_corpus(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab)
@@ -175,11 +203,11 @@ QUERIES = [(f"q{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat", "the cat 
 class TestQueries:
     """DenseRetriever projects its prefix once; run_queries packs its queries."""
 
-    @pytest.mark.parametrize("per_forward", [3, 128])
+    @pytest.mark.parametrize("budget", ROW_BUDGETS)
     @pytest.mark.parametrize("separate_roles", [False, True])
-    def test_run_queries_equals_retriever_calls(self, tiny_vocab, monkeypatch, per_forward,
+    def test_run_queries_equals_retriever_calls(self, tiny_vocab, monkeypatch, budget,
                                                 separate_roles):
-        monkeypatch.setattr(vector_index, "ENCODE_BATCH", per_forward)
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", budget)
         model = make_tiny_model(tiny_vocab)
         prompts = make_tiny_prompts(model, separate_roles=separate_roles)
         index = encode_corpus(CORPUS, model, prompts)
