@@ -22,7 +22,6 @@ __all__ = [
     "transpose",
     "add",
     "mul",
-    "scale",
     "attention",
     "layer_norm",
     "gelu",
@@ -211,16 +210,6 @@ def mul(a, b):
             _accum(b, g * a.data)
 
     return _node(out_data, (a, b), grad_fn)
-
-
-def scale(a, c):
-    c = float(c)
-    out_data = a.data * c
-
-    def grad_fn(g):
-        _accum(a, g * c)
-
-    return _node(out_data, (a,), grad_fn)
 
 
 def attention(q, k, v, offsets, num_heads, prefix=None):
@@ -450,14 +439,21 @@ def cross_entropy_rows(logits, targets):
 
 
 def average(tensors):
-    """Mean of same-shape tensors, composed from add and scale."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ValueError("average: empty input")
-    acc = tensors[0]
+    """Mean of same-shape tensors: their left-to-right sum times 1/n."""
+    tensors = tuple(tensors)
+    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
+        raise ShapeError("average", *(t.shape for t in tensors))
+    c = 1.0 / len(tensors)
+    out_data = tensors[0].data
     for t in tensors[1:]:
-        acc = add(acc, t)
-    return scale(acc, 1.0 / len(tensors))
+        out_data = out_data + t.data
+
+    def grad_fn(g):
+        gc = g * c
+        for t in tensors:
+            _accum(t, gc)
+
+    return _node(out_data * c, tensors, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ def deserialize_model(blob):
         header = json.loads(take(hlen).decode("utf-8"))
         config = EncoderConfig.from_dict(header["config"])
         vocab = Vocabulary(header["vocab"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, RecursionError) as exc:
         raise ValueError(f"bad checkpoint header: {exc!r}") from exc
     (count,) = unpack("<I")
     params = {}

@@ -10,6 +10,8 @@ the mean over the 2m units of (mlm + contrastive) per unit.
 
 Two modes: "backbone" updates the whole model (no prompts involved);
 "prompts_only" freezes the backbone and trains a prompt set instead.
+pretrain() supplies the epochs' steps; training.fit, the one training
+loop, owns the schedule, the RNG, the checkpoints and the log.
 """
 
 from __future__ import annotations
@@ -18,15 +20,15 @@ import json
 import math
 import os
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamW, Tensor, backward
+from .autodiff import Tensor, backward
 from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
 from .tokenizer import MASK_ID, tokenize_words
-from .training import freeze, save_trained, unfreeze, write_jsonl
+from .training import fit, unfreeze
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -60,6 +62,9 @@ class PretrainConfig:
     def __post_init__(self):
         if self.mode not in ("backbone", "prompts_only"):
             raise ValueError(f"unknown pretraining mode: {self.mode}")
+        for name, low in (("epochs", 0), ("batch_size", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -335,45 +340,24 @@ def pretrain(corpus, model, config, prompts=None, out_dir=None):
     prompts, params = unfreeze(model, prompts, config.mode, config.seed,
                                task_name="pretrain", mlm=config.mask_rate > 0)
 
-    log = []
-    if config.epochs > 0:
-        steps_per_epoch = max(1, len(prepared) // m)
-        total_steps = config.epochs * steps_per_epoch
-        optimizer = AdamW(
-            params,
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-            warmup_ratio=config.warmup_ratio,
-            total_steps=total_steps,
-        )
-        rng = np.random.default_rng(config.seed)
-        for epoch in range(config.epochs):
-            for _ in range(steps_per_epoch):
-                batch = sample_batch(
-                    prepared, config.unit, m, rng, model.vocab,
-                    model.config.max_seq_len, mask_rate=config.mask_rate,
-                )
-                loss, rep = rip_loss(batch, model, prompts)
-                if not math.isfinite(rep["combined"]):
-                    raise RuntimeError(
-                        f"pretrain: non-finite loss at step {optimizer.step_count + 1}"
-                    )
-                backward(loss)
-                optimizer.step()
-                log.append(PretrainStepReport(
-                    step=optimizer.step_count,
-                    learning_rate=optimizer.lr_at(optimizer.step_count),
-                    **rep,
-                ))
-            if out_dir is not None:
-                save_trained(model, prompts, out_dir, f"model_epoch{epoch}.ckpt",
-                             f"prompts_epoch{epoch}.json")
+    steps_per_epoch = max(1, len(prepared) // m)
 
-    freeze(model, prompts)
+    def epoch(rng, optimizer):
+        for _ in range(steps_per_epoch):
+            batch = sample_batch(prepared, config.unit, m, rng, model.vocab,
+                                 model.config.max_seq_len, mask_rate=config.mask_rate)
+            loss, rep = rip_loss(batch, model, prompts)
+            if not math.isfinite(rep["combined"]):
+                raise RuntimeError(f"pretrain: non-finite loss at step {optimizer.step_count + 1}")
+            backward(loss)
+            optimizer.step()
+            yield PretrainStepReport(step=optimizer.step_count,
+                                     learning_rate=optimizer.lr_at(optimizer.step_count), **rep)
+
+    log = fit(model, prompts, params, config, steps_per_epoch, epoch, out_dir,
+              ("pretrain_log.jsonl", "model.ckpt", "pretrained_prompts.json"))
     if out_dir is not None:
-        write_jsonl([asdict(r) for r in log], os.path.join(out_dir, "pretrain_log.jsonl"))
         with open(os.path.join(out_dir, "skip_report.json"), "w", encoding="utf-8") as fh:
             fh.write(json.dumps(prepared.skip_report, sort_keys=True, indent=2) + "\n")
-        save_trained(model, prompts, out_dir, "model.ckpt", "pretrained_prompts.json")
     return PretrainResult(model=model, prompts=prompts, log=log,
                           skip_report=prepared.skip_report)

@@ -238,5 +238,10 @@ def save_promptset(ps, path):
 
 
 def load_promptset(path):
+    """The PromptSet a prompt-set file holds; ValueError as promptset_from_json,
+    or when the file is not JSON or nests too deep to parse."""
     with open(path, "r", encoding="utf-8") as fh:
-        return promptset_from_json(json.load(fh))
+        try:
+            return promptset_from_json(json.load(fh))
+        except RecursionError as exc:
+            raise ValueError(f"{path}: JSON nests too deep") from exc

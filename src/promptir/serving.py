@@ -30,9 +30,11 @@ Content-Length that is not a non-negative integer, gets 400 bad_request
 (an inline_prompt that is not a prompt-set object gets 400 bad_promptset,
 one whose geometry prefix_kv rejects 400 dimension_mismatch);
 for a bad Content-Length the body is not read and the connection closes.
-A chunked body (any Transfer-Encoding) gets 411 length_required, unread,
-and the connection closes. An unknown prompt_id, to encode or to delete,
-gets 404 unknown_prompt.
+A chunked body (any Transfer-Encoding) gets 411 length_required, and a
+Content-Length above MAX_BODY_BYTES 413 payload_too_large; neither body
+is read, and the connection closes. JSON that nests too deep to parse is
+a 400 bad_request. An unknown prompt_id, to encode or to delete, gets
+404 unknown_prompt.
 
 Connections are kept alive, with TCP_NODELAY set and the writer buffered,
 so each reply's headers and body leave in one send when the request ends.
@@ -58,6 +60,8 @@ from .prompts import promptset_from_json
 from .tokenizer import CLS_ID
 
 log = logging.getLogger(__name__)
+
+MAX_BODY_BYTES = 64 << 20  # a prompt set at the benchmark's geometry is about 22 KB
 
 
 class ServiceError(Exception):
@@ -226,10 +230,13 @@ class _Handler(BaseHTTPRequestHandler):
         if not (length.isascii() and length.isdigit()):
             self.close_connection = True  # the unread body would be taken for the next request
             raise ServiceError(400, "bad_request", f"bad Content-Length {length!r}")
+        if int(length) > MAX_BODY_BYTES:
+            self.close_connection = True  # the unread body would be taken for the next request
+            raise ServiceError(413, "payload_too_large", f"body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(int(length))
         try:
             doc = json.loads(raw.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
             raise ServiceError(400, "bad_request", f"body is not valid JSON: {exc}")
         if not isinstance(doc, dict):
             raise ServiceError(400, "bad_request", "body must be a JSON object")

@@ -4,13 +4,16 @@ Ranking loss: negative log-likelihood of the positive passage against the
 mined negatives, with raw inner-product scores (no temperature, no
 normalization). With in-batch negatives enabled, every other example's
 positive and mined negatives join each query's denominator; any candidate
-that is a known positive of the query is masked out.
+that is a known positive of the query is masked out. A step scores its
+queries against its unique passages in one matrix, -inf outside each
+query's candidates, under one row-wise cross-entropy.
 
 Two modes: "dpt" trains only the prompt set against a frozen backbone;
-"ft" trains the full backbone without prompts. unfreeze, freeze and
-save_trained decide which weights train and what gets written, for this
-loop and for pretrain's. A step projects its prompt prefix through
-encoder.prefix_kv once per role group and tokenizes its texts afresh.
+"ft" trains the full backbone without prompts. fit is the one training
+loop, train()'s and pretrain()'s; unfreeze and save_trained decide which
+weights train and what gets written. A step projects its prompt prefix
+through encoder.prefix_kv once per role group and tokenizes its texts
+afresh.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamW, backward
+from .autodiff import AdamW, Tensor, backward
 from .encoder import pooled, prefix_kv, save_checkpoint
 from .prompts import PromptSet, save_promptset
 
@@ -63,6 +66,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("dpt", "ft"):
             raise ValueError(f"unknown training mode: {self.mode}")
+        for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_query", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
 
 
 @dataclass
@@ -124,20 +130,6 @@ def unfreeze(model, prompts, mode, seed, task_name="task", separate_roles=False,
         raise ValueError(f"{mode} mode trains prompts, but the prompt set has prompt_length 0")
     prompts.set_trainable(True)
     return prompts, prompts.parameters()
-
-
-def freeze(model, prompts):
-    model.set_trainable(False)
-    if prompts is not None:
-        prompts.set_trainable(False)
-
-
-def write_jsonl(records, path):
-    """One sorted-key JSON object per line, so equal records give equal bytes."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True))
-            fh.write("\n")
 
 
 def save_trained(model, prompts, out_dir, ckpt_name, prompts_name):
@@ -207,13 +199,13 @@ def train_step(batch, model, prompts, config, optimizer, corpus_texts, positives
 
     passages = embed([corpus_texts[pid] for pid in needed], passage)
     queries = embed([ex.query for ex in batch], query)
-    row = {pid: i for i, pid in enumerate(needed)}
-    losses = []
+    col = {pid: j for j, pid in enumerate(needed)}
+    # -inf outside a query's candidates takes those passages out of its softmax
+    mask = np.full((len(batch), len(needed)), -np.inf)
     for i, cands in enumerate(per_example):
-        cand_rows = ad.embedding_gather(passages, [row[pid] for pid in cands])
-        scores = ad.matmul(ad.embedding_gather(queries, [i]), ad.transpose(cand_rows))
-        losses.append(ad.cross_entropy_rows(scores, [0]))
-    loss = ad.average(losses)
+        mask[i, [col[pid] for pid in cands]] = 0.0
+    scores = ad.add(ad.matmul(queries, ad.transpose(passages)), Tensor(mask))
+    loss = ad.cross_entropy_rows(scores, [col[ex.pos_pid] for ex in batch])
 
     value = loss.item()
     if not math.isfinite(value):
@@ -228,6 +220,36 @@ def train_step(batch, model, prompts, config, optimizer, corpus_texts, positives
         learning_rate=optimizer.lr_at(optimizer.step_count),
         grad_norm=gnorm,
     )
+
+
+def fit(model, prompts, params, config, steps_per_epoch, epoch, out_dir, names):
+    """Train params for config.epochs epochs; returns the step reports.
+
+    epoch(rng, optimizer) runs one epoch of steps_per_epoch steps and
+    yields their reports; one RNG seeded with config.seed feeds them all.
+    Each epoch's weights land in out_dir, then the log and the final
+    weights under names = (log, checkpoint, prompt set). Ends frozen.
+    """
+    log_name, ckpt_name, prompts_name = names
+    optimizer = AdamW(params, lr=config.learning_rate, weight_decay=config.weight_decay,
+                      warmup_ratio=config.warmup_ratio,
+                      total_steps=config.epochs * steps_per_epoch)
+    rng = np.random.default_rng(config.seed)
+    log = []
+    for e in range(config.epochs):
+        log.extend(epoch(rng, optimizer))
+        if out_dir is not None:
+            save_trained(model, prompts, out_dir, f"model_epoch{e}.ckpt",
+                         f"prompts_epoch{e}.json")
+    model.set_trainable(False)
+    if prompts is not None:
+        prompts.set_trainable(False)
+    if out_dir is not None:
+        # one sorted-key JSON object per line, so equal logs give equal bytes
+        with open(os.path.join(out_dir, log_name), "w", encoding="utf-8") as fh:
+            fh.writelines(json.dumps(asdict(r), sort_keys=True) + "\n" for r in log)
+        save_trained(model, prompts, out_dir, ckpt_name, prompts_name)
+    return log
 
 
 @dataclass
@@ -259,30 +281,15 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
         for qid, pids in qrels.items():
             positives_of.setdefault(qid, set()).update(pids)
 
-    log = []
-    if config.epochs > 0:
-        n_batches = math.ceil(len(dataset) / config.batch_size)
-        optimizer = AdamW(
-            train_params,
-            lr=config.learning_rate,
-            weight_decay=config.weight_decay,
-            warmup_ratio=config.warmup_ratio,
-            total_steps=config.epochs * n_batches,
-        )
-        rng = np.random.default_rng(config.seed)
-        for epoch in range(config.epochs):
-            order = rng.permutation(len(dataset))
-            for b in range(n_batches):
-                idx = order[b * config.batch_size:(b + 1) * config.batch_size]
-                batch = [dataset[int(i)] for i in idx]
-                log.append(train_step(batch, model, prompts, config, optimizer,
-                                      corpus_texts, positives_of))
-            if out_dir is not None:
-                save_trained(model, prompts, out_dir, f"model_epoch{epoch}.ckpt",
-                             f"prompts_epoch{epoch}.json")
+    size = config.batch_size
 
-    freeze(model, prompts)
-    if out_dir is not None:
-        write_jsonl([asdict(r) for r in log], os.path.join(out_dir, "train_log.jsonl"))
-        save_trained(model, prompts, out_dir, "model_ft.ckpt", "prompts.json")
+    def epoch(rng, optimizer):
+        order = rng.permutation(len(dataset))
+        for lo in range(0, len(dataset), size):
+            batch = [dataset[int(i)] for i in order[lo:lo + size]]
+            yield train_step(batch, model, prompts, config, optimizer, corpus_texts,
+                             positives_of)
+
+    log = fit(model, prompts, train_params, config, math.ceil(len(dataset) / size), epoch,
+              out_dir, ("train_log.jsonl", "model_ft.ckpt", "prompts.json"))
     return TrainResult(model=model, prompts=prompts, log=log)

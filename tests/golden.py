@@ -11,10 +11,11 @@ hand-written initializers that preceded the parameter shape tables, and
 must match bitwise, and so must the ``mining`` hash: every query's UNM pool
 (candidates, denoised list, assembled negatives with their tags) over a
 tiny synthetic corpus, recorded before the word-set cache and the partial
-top-k selection. The ``forward`` hash pins the embeddings, DPT/ft losses
-and RIP trajectories bitwise as the packed forward computed them before
-the row-budget packing and the in-place attention, so a change that keeps
-the forward's numbers must keep it too.
+top-k selection. The ``forward_embeddings``, ``forward_losses`` and
+``forward_rip`` hashes pin the embeddings, DPT/ft losses and RIP
+trajectories bitwise, one hash each: the first and last as the packed
+forward computed them before the row-budget packing and the in-place
+attention, so a change that keeps the forward's numbers must keep them too.
 
 Regenerate only on a deliberate numerical change, and only the keys it
 moves; the others keep what earlier code recorded:
@@ -70,6 +71,9 @@ INIT_LAYOUTS = ("shared", "separate", "mlp")
 # one RIP trajectory per pretraining mode; prompts_only creates its prompt set
 RIP_MODES = ("backbone", "prompts_only")
 RIP_TERMS = ("contrastive", "mlm", "combined")
+
+# values pinned bitwise, one hash each, so a change to one loss leaves the others' pins
+FORWARD_KEYS = ("embeddings", "losses", "rip")
 
 
 def build(case):
@@ -134,11 +138,9 @@ def mining_hash():
     return digest.hexdigest()
 
 
-def forward_hash(values):
-    """sha256 over golden_values()'s embeddings, losses and RIP trajectories."""
-    blob = json.dumps({key: values[key] for key in ("embeddings", "losses", "rip")},
-                      sort_keys=True)
-    return sha256(blob.encode("utf-8"))
+def forward_hash(value):
+    """sha256 of one of golden_values()'s embeddings, losses or RIP trajectories."""
+    return sha256(json.dumps(value, sort_keys=True).encode("utf-8"))
 
 
 def golden_values():
@@ -168,7 +170,8 @@ def golden_values():
                                 warmup_ratio=0.0, seed=2)
         result = pretrain(rip_corpus, model, config)
         out["rip"][mode] = {term: [getattr(r, term) for r in result.log] for term in RIP_TERMS}
-    out["forward"] = forward_hash(out)
+    for key in FORWARD_KEYS:
+        out[f"forward_{key}"] = forward_hash(out[key])
     return out
 
 

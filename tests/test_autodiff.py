@@ -143,7 +143,15 @@ class TestOpGradChecks:
     def test_scale_mul(self):
         rng = np.random.default_rng(13)
         a, b = rand_tensor(rng, 5), rand_tensor(rng, 5)
-        self.check(lambda: ad.sum_all(ad.scale(ad.mul(a, b), 2.5)), [a, b])
+        c = Tensor(np.full(5, 2.5))
+        self.check(lambda: ad.sum_all(ad.mul(ad.mul(a, b), c)), [a, b])
+
+    def test_average(self):
+        rng = np.random.default_rng(18)
+        a, b = rand_tensor(rng, 3, 2), rand_tensor(rng, 3, 2)
+        w = Tensor(rng.normal(size=(3, 2)))
+        # a listed twice gets the gradient of both places
+        self.check(lambda: ad.sum_all(ad.mul(ad.average([a, b, a]), w)), [a, b])
 
     def test_layer_norm(self):
         rng = np.random.default_rng(15)

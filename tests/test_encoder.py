@@ -435,6 +435,12 @@ class TestSerialization:
         with pytest.raises(ValueError):
             promptset_from_json(edit(promptset_to_json(tiny_prompts)))
 
+    def test_promptset_file_nested_too_deep_rejected(self, tmp_path):
+        path = tmp_path / "deep.promptset.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="nests too deep"):
+            load_promptset(path)
+
     def test_truncated_checkpoint_rejected(self, tiny_model):
         blob = serialize_model(tiny_model)
         rng = np.random.default_rng(0)
@@ -450,9 +456,12 @@ class TestSerialization:
 
     @staticmethod
     def with_header(blob, edit):
-        """The checkpoint blob with its header JSON replaced by edit(header)."""
+        """The checkpoint blob with its header replaced by edit(header), raw
+        bytes as they are, anything else as JSON."""
         hlen = int.from_bytes(blob[8:12], "little")
-        raw = json.dumps(edit(json.loads(blob[12:12 + hlen])), sort_keys=True).encode("utf-8")
+        raw = edit(json.loads(blob[12:12 + hlen]))
+        if not isinstance(raw, bytes):
+            raw = json.dumps(raw, sort_keys=True).encode("utf-8")
         return blob[:8] + len(raw).to_bytes(4, "little") + raw + blob[12 + hlen:]
 
     @classmethod
@@ -466,8 +475,9 @@ class TestSerialization:
         lambda h: {"config": h["config"]},
         lambda h: {**h, "config": {**h["config"], "depth": 2}},
         lambda h: {**h, "config": {k: v for k, v in h["config"].items() if k != "num_heads"}},
+        lambda h: b"[" * 100_000,
     ], ids=["not_an_object", "no_config", "no_vocab", "unknown_config_key",
-            "missing_config_key"])
+            "missing_config_key", "nested_too_deep"])
     def test_malformed_header_rejected(self, tiny_model, edit):
         with pytest.raises(ValueError, match="header"):
             deserialize_model(self.with_header(serialize_model(tiny_model), edit))

@@ -7,17 +7,18 @@ cross-entropy contrastive loss sum in a different order than the code that
 recorded them, so they agree to rounding, not bitwise. Initialization draws
 the same numbers in the same order, so its hashes must match exactly, and
 mining makes only exact decisions (ranks, set overlaps), so its pool hash
-must too. The forward hash pins those embeddings and trajectories bitwise
-as the packed forward computed them when it was recorded: changes that
-only repack rows or reorder memory traffic must leave every bit alone.
+must too. The forward hashes pin those embeddings, DPT/ft losses and RIP
+trajectories bitwise, one hash each, as the code computed them when it was
+recorded: changes that only repack rows or reorder memory traffic must
+leave every bit alone.
 """
 
 import json
 
 import pytest
 
-from golden import (CASES, INIT_LAYOUTS, PATH, RIP_MODES, RIP_TERMS, TRAJECTORIES, golden_values,
-                    relative_error)
+from golden import (CASES, FORWARD_KEYS, INIT_LAYOUTS, PATH, RIP_MODES, RIP_TERMS, TRAJECTORIES,
+                    golden_values, relative_error)
 
 GATE = 1e-10
 WANT = json.loads(PATH.read_text())
@@ -63,5 +64,6 @@ def test_mining_bitwise(got):
     assert got["mining"] == WANT["mining"]
 
 
-def test_forward_bitwise(got):
-    assert got["forward"] == WANT["forward"]
+@pytest.mark.parametrize("key", [f"forward_{key}" for key in FORWARD_KEYS])
+def test_forward_bitwise(got, key):
+    assert got[key] == WANT[key]

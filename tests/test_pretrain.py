@@ -297,6 +297,11 @@ class TestPretrain:
         with pytest.raises(ValueError, match="prompt_length"):
             pretrain(corpus, model, PretrainConfig(mode="prompts_only", epochs=1), prompts=ps)
 
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            PretrainConfig(**{field: value})
+
     def test_zero_epochs_is_identity(self, tiny_vocab):
         corpus = topic_corpus(12)
         vocab = Vocabulary.build([t for _, t in corpus])

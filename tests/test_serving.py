@@ -66,6 +66,22 @@ def delete(srv, path, body=None):
     return status, headers, json.loads(raw.decode("utf-8"))
 
 
+def raw_reply(srv, request):
+    """Send raw request bytes; (status line and headers, JSON body) of the
+    one reply the server sends before it closes the connection."""
+    url = urlsplit(srv.base_url)
+    with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
+        sock.sendall(request)
+        raw = b""
+        while chunk := sock.recv(4096):
+            raw += chunk
+    head, _, rest = raw.partition(b"\r\n\r\n")
+    length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
+                      if line.lower().startswith(b"content-length:")))
+    assert len(rest) == length  # one reply, nothing after it
+    return head, json.loads(rest)
+
+
 def prompt_fields(ps_name, served, inline):
     _, _, sets, ids = served
     if inline:
@@ -303,22 +319,29 @@ class TestTransport:
 
     def test_chunked_body_gets_one_411(self, served):
         srv, _, _, ids = served
-        url = urlsplit(srv.base_url)
         body = json.dumps({"text": "cat", "prompt_id": ids["shared"]}).encode()
-        request = (b"POST /encode HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n"
-                   b"Transfer-Encoding: chunked\r\n\r\n"
-                   + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
-        with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
-            sock.sendall(request)
-            raw = b""
-            while chunk := sock.recv(4096):  # the server closes after its reply
-                raw += chunk
-        head, _, rest = raw.partition(b"\r\n\r\n")
-        length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
-                          if line.lower().startswith(b"content-length:")))
+        head, reply = raw_reply(srv, b"POST /encode HTTP/1.1\r\nHost: x\r\n"
+                                     b"Content-Type: application/json\r\n"
+                                     b"Transfer-Encoding: chunked\r\n\r\n"
+                                     + b"%x\r\n" % len(body) + body + b"\r\n0\r\n\r\n")
         assert head.startswith(b"HTTP/1.1 411 ") and b"Connection: close" in head
-        assert len(rest) == length  # one reply, nothing after it
-        assert json.loads(rest)["code"] == "length_required"
+        assert reply["code"] == "length_required"
+
+    def test_oversized_body_gets_413_without_reading(self, served):
+        srv, _, _, _ = served
+        # a server that tried to read the body would fail to allocate 100 GB,
+        # answer 500 and keep the connection open
+        head, reply = raw_reply(srv, b"POST /encode HTTP/1.1\r\nHost: x\r\n"
+                                     b"Content-Length: 100000000000\r\n\r\n{}")
+        assert head.startswith(b"HTTP/1.1 413 ") and b"Connection: close" in head
+        assert reply["code"] == "payload_too_large"
+
+    def test_json_nested_too_deep_is_400(self, served):
+        srv, _, _, _ = served
+        body = b"[" * 100_000
+        head, reply = raw_reply(srv, b"POST /prompts HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                                     b"Content-Length: %d\r\n\r\n" % len(body) + body)
+        assert head.startswith(b"HTTP/1.1 400 ") and reply["code"] == "bad_request"
 
     def test_short_body_times_out_and_closes(self, served, monkeypatch):
         srv, _, _, _ = served

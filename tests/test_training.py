@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from promptir.autodiff import AdamW
-from promptir.encoder import encode
+from promptir import autodiff as ad
+from promptir.autodiff import AdamW, backward
+from promptir.encoder import encode, pooled, prefix_kv
 from promptir.training import (
     TrainConfig,
     TrainingDivergedError,
@@ -118,6 +119,43 @@ def toy_retrieval_data(vocab, n_queries=10, negs_per_query=2):
     return corpus, examples
 
 
+def per_example_loss(batch, model, prompts, config, corpus, positives_of):
+    """The ranking loss as one score row per example, each over its own
+    candidates, averaged: the composition the masked score matrix replaced."""
+    query = prefix_kv(model, prompts, "query")
+    passage = query if prompts is None or prompts.shared else prefix_kv(model, prompts, "passage")
+    per_example = batch_candidates(batch, config, positives_of)
+    needed = sorted({pid for cands in per_example for pid in cands})
+    max_len = model.config.max_seq_len
+    passages = pooled(model, [model.vocab.encode(corpus[pid], max_len=max_len)
+                              for pid in needed], passage)
+    queries = pooled(model, [model.vocab.encode(ex.query, max_len=max_len) for ex in batch],
+                     query)
+    row = {pid: i for i, pid in enumerate(needed)}
+    losses = []
+    for i, cands in enumerate(per_example):
+        cand_rows = ad.embedding_gather(passages, [row[pid] for pid in cands])
+        scores = ad.matmul(ad.embedding_gather(queries, [i]), ad.transpose(cand_rows))
+        losses.append(ad.cross_entropy_rows(scores, [0]))
+    return ad.average(losses)
+
+
+class GradRecorder(AdamW):
+    """AdamW that keeps a copy of the gradients of each step it takes."""
+
+    def step(self):
+        self.grads = [p.grad.copy() for p in self.params]
+        super().step()
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field, value", [("negatives_per_query", -1), ("batch_size", 0),
+                                              ("epochs", -1)])
+    def test_out_of_range_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+
 class TestExampleValidation:
     def test_positive_among_negatives_rejected(self):
         with pytest.raises(ValueError, match="among negatives"):
@@ -172,12 +210,12 @@ class TestTrainStep:
     def setup_method(self):
         pass
 
-    def _setup(self, tiny_vocab, mode):
+    def _setup(self, tiny_vocab, mode, separate_roles=False, in_batch=True):
         model = make_tiny_model(tiny_vocab)
-        prompts = make_tiny_prompts(model) if mode == "dpt" else None
+        prompts = make_tiny_prompts(model, separate_roles=separate_roles) if mode == "dpt" else None
         corpus, examples = toy_retrieval_data(tiny_vocab, n_queries=4)
-        config = TrainConfig(mode=mode, epochs=1, batch_size=2,
-                             negatives_per_query=2, seed=3)
+        config = TrainConfig(mode=mode, epochs=1, batch_size=2, negatives_per_query=2,
+                             use_in_batch_negatives=in_batch, seed=3)
         if mode == "dpt":
             model.set_trainable(False)
             prompts.set_trainable(True)
@@ -202,11 +240,14 @@ class TestTrainStep:
         train_step(examples[:2], model, None, config, opt, corpus, pos)
         assert model.checksums() != before
 
-    def test_loss_matches_public_encode_and_nll(self, tiny_vocab):
+    @pytest.mark.parametrize("in_batch", [True, False], ids=["in_batch", "own_negatives"])
+    @pytest.mark.parametrize("layout", ["shared", "separate", "ft"])
+    def test_loss_matches_public_encode_and_nll(self, tiny_vocab, layout, in_batch):
         # differential oracle: the graph loss must equal a recomputation
         # from the public encode() vectors via similarity() and nll_loss()
-        model, prompts, corpus, examples, config, opt, pos = self._setup(tiny_vocab, "dpt")
-        batch = examples[:2]
+        model, prompts, corpus, examples, config, opt, pos = self._setup(
+            tiny_vocab, "ft" if layout == "ft" else "dpt", layout == "separate", in_batch)
+        batch = examples[:3]
         expected = []
         for ex, cands in zip(batch, batch_candidates(batch, config, pos)):
             q = encode(model, prompts, model.vocab.encode(ex.query), role="query")
@@ -218,6 +259,21 @@ class TestTrainStep:
             expected.append(nll_loss(scores[0], scores[1:]))
         report = train_step(batch, model, prompts, config, opt, corpus, pos)
         assert report.loss == pytest.approx(np.mean(expected), abs=1e-12)
+
+    @pytest.mark.parametrize("in_batch", [True, False], ids=["in_batch", "own_negatives"])
+    @pytest.mark.parametrize("separate", [False, True], ids=["shared", "separate"])
+    def test_prompt_grads_match_per_example_composition(self, tiny_vocab, separate, in_batch):
+        model, prompts, corpus, examples, config, _, pos = self._setup(
+            tiny_vocab, "dpt", separate, in_batch)
+        batch = examples[:3]
+        backward(per_example_loss(batch, model, prompts, config, corpus, pos))
+        want = [p.grad.copy() for p in prompts.parameters()]
+        opt = GradRecorder(prompts.parameters(), lr=config.learning_rate)
+        opt.zero_grad()
+        train_step(batch, model, prompts, config, opt, corpus, pos)
+        assert len(opt.grads) == len(want)
+        for got, ref in zip(opt.grads, want):
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_nan_loss_aborts_with_example_ids(self, tiny_vocab):
         model, prompts, corpus, examples, config, opt, pos = self._setup(tiny_vocab, "dpt")
