@@ -3,8 +3,9 @@
 Define-by-run: every op computes its result eagerly and records a closure
 for the backward pass. The op set is intentionally small -- exactly what a
 small transformer encoder and its retrieval losses need; linear fuses a
-matmul and its row-bias add into one op. Tensors default to float64 so
-central finite differences are a meaningful oracle for every gradient rule.
+matmul and its row-bias add into one op; cross_entropy_rows takes optional
+row weights. Tensors default to float64 so central finite differences are
+a meaningful oracle for every gradient rule.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "slice_",
     "sum_all",
     "cross_entropy_rows",
-    "average",
     "backward",
     "AdamW",
     "grad_check",
@@ -410,16 +410,17 @@ def sum_all(a):
     return _node(out_data, (a,), grad_fn)
 
 
-def cross_entropy_rows(logits, targets):
-    """Mean negative log-softmax of the target column, per row.
+def cross_entropy_rows(logits, targets, weights=None):
+    """Negative log-softmax of each row's target column: meaned, or losses @ weights.
 
-    Log-sum-exp stabilized; targets is a length-n integer sequence.
+    Log-sum-exp stabilized; targets is a length-n integer sequence. Row i's
+    gradient is scaled by g / n, or by g * weights[i].
     """
     if logits.ndim != 2:
         raise ShapeError("cross_entropy_rows", logits.shape)
     tgt = np.asarray(targets, dtype=np.int64)
     n = logits.shape[0]
-    if tgt.shape != (n,):
+    if tgt.shape != (n,) or (weights is not None and np.shape(weights) != (n,)):
         raise ShapeError("cross_entropy_rows", logits.shape, tgt.shape)
     if tgt.size and (tgt.min() < 0 or tgt.max() >= logits.shape[1]):
         raise ValueError("cross_entropy_rows: target index out of range")
@@ -427,33 +428,16 @@ def cross_entropy_rows(logits, targets):
     zmax = z.max(axis=1, keepdims=True)
     lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
     losses = lse[:, 0] - z[np.arange(n), tgt]
-    out_data = np.asarray(losses.mean())
+    out_data = np.asarray(losses.mean() if weights is None else losses @ weights)
     probs = np.exp(z - lse)
 
     def grad_fn(g):
         gz = probs.copy()
         gz[np.arange(n), tgt] -= 1.0
-        _accum(logits, gz * (float(g) / n))
+        scale = float(g) / n if weights is None else float(g) * np.asarray(weights)[:, None]
+        _accum(logits, gz * scale)
 
     return _node(out_data, (logits,), grad_fn)
-
-
-def average(tensors):
-    """Mean of same-shape tensors: their left-to-right sum times 1/n."""
-    tensors = tuple(tensors)
-    if not tensors or any(t.shape != tensors[0].shape for t in tensors):
-        raise ShapeError("average", *(t.shape for t in tensors))
-    c = 1.0 / len(tensors)
-    out_data = tensors[0].data
-    for t in tensors[1:]:
-        out_data = out_data + t.data
-
-    def grad_fn(g):
-        gc = g * c
-        for t in tensors:
-            _accum(t, gc)
-
-    return _node(out_data * c, tensors, grad_fn)
 
 
 # ---------------------------------------------------------------------------

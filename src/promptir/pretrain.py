@@ -1,12 +1,14 @@
 """Contrastive intermediate pretraining for retrieval.
 
 From each passage, sample a pair of units (sentences by default, random
-token spans as the alternative). Each unit must be told apart from every
-other unit in the batch: its partner is the target among the 2m-1
-non-anchor candidates, scored by raw inner products of first-token
-embeddings. A masked-LM term over separately masked copies keeps the
-backbone's original self-supervised objective; the combined step loss is
-the mean over the 2m units of (mlm + contrastive) per unit.
+token spans as the alternative); units 2i and 2i+1 of a batch are
+partners. Each unit must be told apart from every other unit in the batch:
+its partner is the target among the 2m-1 non-anchor candidates, scored by
+raw inner products of first-token embeddings. A masked-LM term over
+separately masked copies keeps the backbone's original self-supervised
+objective; the combined step loss is the mean over the 2m units of
+(mlm + contrastive) per unit, as two cross-entropies: over one score
+matrix, and over every masked row weighted so that each unit counts once.
 
 Two modes: "backbone" updates the whole model (no prompts involved);
 "prompts_only" freezes the backbone and trains a prompt set instead.
@@ -28,7 +30,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
 from .tokenizer import MASK_ID, tokenize_words
-from .training import fit, unfreeze
+from .training import check_ranges, fit, unfreeze
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
@@ -62,9 +64,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.mode not in ("backbone", "prompts_only"):
             raise ValueError(f"unknown pretraining mode: {self.mode}")
-        for name, low in (("epochs", 0), ("batch_size", 1)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_ranges(self, (("epochs", 0), ("batch_size", 1), ("learning_rate", 0),
+                            ("weight_decay", 0)), ("warmup_ratio", "mask_rate"))
 
 
 @dataclass
@@ -230,59 +231,41 @@ def _force_one_mask(masked):
 # ---------------------------------------------------------------------------
 
 
-def default_pairing(n):
-    if n < 2 or n % 2:
-        raise ValueError("pairing needs an even number of embeddings >= 2")
-    return [i + 1 if i % 2 == 0 else i - 1 for i in range(n)]
-
-
-def contrastive_loss(embeddings, pairing=None):
+def contrastive_loss(embeddings):
     """Mean over anchors of -log softmax(partner | all non-anchor scores).
 
-    The denominator ranges over every other batch element (the partner
-    included, as the numerator term); only the anchor itself is excluded.
-    Accepts a (2m, d) graph tensor or a plain (2m, d) array.
+    Rows 2i and 2i+1 are partners. The denominator ranges over every other
+    batch element (the partner included, as the numerator term); only the
+    anchor itself is excluded. Accepts a (2m, d) graph tensor or array.
     """
     rows = Tensor(embeddings) if isinstance(embeddings, np.ndarray) else embeddings
     n = rows.shape[0]
-    if pairing is None:
-        pairing = default_pairing(n)
-    if len(pairing) != n or any(
-        pairing[a] == a or pairing[pairing[a]] != a for a in range(n)
-    ):
-        raise ValueError("pairing must be a fixed-point-free involution")
-
+    if n < 2 or n % 2:
+        raise ValueError("contrastive_loss needs an even number of embeddings >= 2")
     # -inf on the diagonal takes each anchor out of its own softmax
     self_mask = np.zeros((n, n))
     np.fill_diagonal(self_mask, -np.inf)
     scores = ad.add(ad.matmul(rows, ad.transpose(rows)), Tensor(self_mask))
-    return ad.cross_entropy_rows(scores, pairing)
+    return ad.cross_entropy_rows(scores, np.arange(n) ^ 1)
 
 
-def partner_ranks(score_matrix, pairing=None):
-    """1-based rank of each anchor's partner among the non-anchor scores."""
+def partner_ranks(score_matrix):
+    """1-based rank of each anchor's partner (2i <-> 2i+1) among the non-anchor scores."""
     s = np.asarray(score_matrix)
     n = s.shape[0]
-    if pairing is None:
-        pairing = default_pairing(n)
-    ranks = []
-    for a in range(n):
-        partner = pairing[a]
-        row = s[a]
-        better = sum(
-            1 for o in range(n) if o not in (a, partner) and row[o] > row[partner]
-        )
-        ranks.append(1 + better)
-    return ranks
+    above = s > s[np.arange(n), np.arange(n) ^ 1][:, None]
+    np.fill_diagonal(above, False)
+    return (1 + above.sum(axis=1)).tolist()
 
 
 def rip_loss(batch, model, prompts=None):
     """Combined pretraining loss for one batch plus its report fields.
 
     Embeddings come from the unmasked copies; the masked-LM term uses the
-    separately masked copies. Both go through one packed forward. Per the
-    batch-mean definition, the combined value is mean_units(mlm) +
-    mean_anchors(contrastive).
+    separately masked copies. Both go through one packed forward. The
+    combined value is mean_units(mlm) + mean_anchors(contrastive): a masked
+    row of unit u weighs 1/(2m |P_u|), so each unit's mlm is the mean over its
+    masked positions P_u, and 0 without any.
     """
     n = len(batch.token_ids)
     masked = [seq for seq in batch.masked if seq.positions]
@@ -291,17 +274,13 @@ def rip_loss(batch, model, prompts=None):
     embs = ad.embedding_gather(states, offsets[:n])
     l_c = contrastive_loss(embs)
 
-    unit_losses = []
+    l_s = Tensor(0.0)
     if masked:
         rows = [start + np.asarray(seq.positions) for start, seq in zip(offsets[n:], masked)]
-        logits = mlm_logits(model, states, np.concatenate(rows))
-        ends = np.cumsum([len(seq.positions) for seq in masked])
-        for seq, end in zip(masked, ends):
-            unit_logits = ad.embedding_gather(logits, np.arange(end - len(seq.positions), end))
-            unit_losses.append(ad.cross_entropy_rows(unit_logits, seq.labels))
-    # units without masked positions add exact zeros, so their place in the sum is moot
-    unit_losses += [Tensor(0.0)] * (len(batch.masked) - len(masked))
-    l_s = ad.average(unit_losses)
+        counts = np.array([len(seq.positions) for seq in masked])
+        l_s = ad.cross_entropy_rows(mlm_logits(model, states, np.concatenate(rows)),
+                                    np.concatenate([seq.labels for seq in masked]),
+                                    np.repeat(1.0 / (n * counts), counts))
     combined = ad.add(l_s, l_c)
 
     ranks = partner_ranks(embs.data @ embs.data.T)

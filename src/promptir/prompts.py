@@ -24,6 +24,7 @@ from . import autodiff as ad
 from .autodiff import Tensor
 
 PROMPTSET_VERSION = 1
+_HEADER_FIELDS = ("version", "task_name", "l", "d", "L", "reparam_mode", "roles", "payload_b64")
 
 
 def _group_shapes(reparam_mode, l, d, num_layers, mlp_hidden):
@@ -194,11 +195,14 @@ def promptset_to_json(ps):
 
 
 def promptset_from_json(doc):
-    """The PromptSet a prompt-set document holds; ValueError on a header
-    field of the wrong JSON type or value, or a payload that is not exact
-    base64 of the declared shapes."""
+    """The PromptSet a prompt-set document holds; ValueError on a missing
+    header field, one of the wrong JSON type or value, or a payload that is
+    not exact base64 of the declared shapes."""
     if not isinstance(doc, dict) or doc.get("format") != "promptset":
         raise ValueError("not a promptset document")
+    missing = [key for key in _HEADER_FIELDS if key not in doc]
+    if missing:
+        raise ValueError(f"promptset header lacks {missing}")
     ints = {key: doc[key] for key in ("l", "d", "L", "version")}
     ints["mlp_hidden"] = doc.get("mlp_hidden", 0)
     for key, value in ints.items():
@@ -214,6 +218,8 @@ def promptset_from_json(doc):
         raise ValueError(f"roles must be a list of distinct strings, got {roles!r}")
     l, d, num_layers = ints["l"], ints["d"], ints["L"]
     reparam_mode = doc["reparam_mode"]
+    if not isinstance(doc["payload_b64"], str):
+        raise ValueError("payload_b64 must be a string")
     payload = base64.b64decode(doc["payload_b64"], validate=True)
     shapes = _group_shapes(reparam_mode, l, d, num_layers, ints["mlp_hidden"])
     groups = {}

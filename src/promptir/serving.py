@@ -94,7 +94,7 @@ class EncodingService:
         shared set is projected once and its prefix serves every role."""
         try:
             ps = promptset_from_json(doc)
-        except (KeyError, ValueError, TypeError) as exc:
+        except ValueError as exc:
             raise ServiceError(400, "bad_promptset", f"invalid prompt set: {exc}")
         try:
             if ps.shared:
@@ -175,11 +175,11 @@ class EncodingService:
 
     def encode_response(self, request):
         start = time.perf_counter()
-        vec = self.encode_vector(request)
         precision = request.get("precision", "f32")
         dtypes = {"f64": np.float64, "f32": np.float32}
         if precision not in dtypes:
             raise ServiceError(400, "bad_request", f"unknown precision {precision!r}")
+        vec = self.encode_vector(request)
         return {
             "vector": vec.astype(dtypes[precision]).tolist(),
             "fingerprint": self.fingerprint,
@@ -212,15 +212,20 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):
         log.debug("%s - %s", self.address_string(), fmt % args)
 
-    def _send_json(self, status, obj):
-        body = json.dumps(obj, sort_keys=True).encode("utf-8")
+    def _send(self, status, body, content_type, headers=()):
+        """The one reply writer: status, headers and body of any reply."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
         if self.close_connection:
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
+
+    def _send_json(self, status, obj):
+        self._send(status, json.dumps(obj, sort_keys=True).encode("utf-8"), "application/json")
 
     def _read_json(self):
         if "Transfer-Encoding" in self.headers:
@@ -264,13 +269,9 @@ class _Handler(BaseHTTPRequestHandler):
                 accept = self.headers.get("Accept", "")
                 if "application/octet-stream" in accept:
                     body, timing = self.service.encode_binary(request)
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/octet-stream")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.send_header("X-Model-Fingerprint", self.service.fingerprint)
-                    self.send_header("X-Timing-Ms", f"{timing:.3f}")
-                    self.end_headers()
-                    self.wfile.write(body)
+                    self._send(200, body, "application/octet-stream",
+                               (("X-Model-Fingerprint", self.service.fingerprint),
+                                ("X-Timing-Ms", f"{timing:.3f}")))
                 else:
                     self._send_json(200, self.service.encode_response(request))
             else:

@@ -66,9 +66,19 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in ("dpt", "ft"):
             raise ValueError(f"unknown training mode: {self.mode}")
-        for name, low in (("epochs", 0), ("batch_size", 1), ("negatives_per_query", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        check_ranges(self, (("epochs", 0), ("batch_size", 1), ("negatives_per_query", 0),
+                            ("learning_rate", 0), ("weight_decay", 0)), ("warmup_ratio",))
+
+
+def check_ranges(config, lows, fractions):
+    """ValueError for a config field below its low (NaN included) or a
+    fraction outside [0, 1]."""
+    for name, low in lows:
+        if not getattr(config, name) >= low:
+            raise ValueError(f"{name} must be >= {low}, got {getattr(config, name)}")
+    for name in fractions:
+        if not 0 <= getattr(config, name) <= 1:
+            raise ValueError(f"{name} must be in [0, 1], got {getattr(config, name)}")
 
 
 @dataclass

@@ -27,8 +27,10 @@ def _doubled_roles(doc):
             "payload_b64": base64.b64encode(payload * 2).decode("ascii")}
 
 
-# edits of a shared direct_embedding prompt-set document that a reader which
-# casts with int() and skips non-base64 characters would still load
+# edits of a shared direct_embedding prompt-set document that must get a
+# ValueError: most of them a reader which casts with int() and skips
+# non-base64 characters would still load, and the last two used to raise
+# KeyError and TypeError
 BAD_PROMPTSET_HEADERS = {
     "float_l": lambda doc: {**doc, "l": doc["l"] + 0.7},
     "string_d": lambda doc: {**doc, "d": str(doc["d"])},
@@ -40,6 +42,8 @@ BAD_PROMPTSET_HEADERS = {
     "list_task_name": lambda doc: {**doc, "task_name": [1]},
     "doubled_role": _doubled_roles,
     "non_base64_payload": lambda doc: {**doc, "payload_b64": "!" + doc["payload_b64"]},
+    "missing_field": lambda doc: {key: value for key, value in doc.items() if key != "l"},
+    "int_payload": lambda doc: {**doc, "payload_b64": 5},
 }
 
 

@@ -13,9 +13,12 @@ must match bitwise, and so must the ``mining`` hash: every query's UNM pool
 tiny synthetic corpus, recorded before the word-set cache and the partial
 top-k selection. The ``forward_embeddings``, ``forward_losses`` and
 ``forward_rip`` hashes pin the embeddings, DPT/ft losses and RIP
-trajectories bitwise, one hash each: the first and last as the packed
-forward computed them before the row-budget packing and the in-place
-attention, so a change that keeps the forward's numbers must keep them too.
+trajectories bitwise, one hash each: the embeddings as the packed forward
+computed them before the row-budget packing and the in-place attention,
+the losses as re-recorded for the one masked DPT score matrix, and the RIP
+trajectories as re-recorded for the one weighted masked-LM cross-entropy
+(at most 1.9e-16 relative from the per-unit means it replaced). A change
+that keeps the forward's numbers must keep all three.
 
 Regenerate only on a deliberate numerical change, and only the keys it
 moves; the others keep what earlier code recorded:

@@ -146,13 +146,6 @@ class TestOpGradChecks:
         c = Tensor(np.full(5, 2.5))
         self.check(lambda: ad.sum_all(ad.mul(ad.mul(a, b), c)), [a, b])
 
-    def test_average(self):
-        rng = np.random.default_rng(18)
-        a, b = rand_tensor(rng, 3, 2), rand_tensor(rng, 3, 2)
-        w = Tensor(rng.normal(size=(3, 2)))
-        # a listed twice gets the gradient of both places
-        self.check(lambda: ad.sum_all(ad.mul(ad.average([a, b, a]), w)), [a, b])
-
     def test_layer_norm(self):
         rng = np.random.default_rng(15)
         x, g, b = rand_tensor(rng, 3, 6), rand_tensor(rng, 6), rand_tensor(rng, 6)
@@ -191,6 +184,22 @@ class TestOpGradChecks:
         rng = np.random.default_rng(22)
         logits = rand_tensor(rng, 4, 6)
         self.check(lambda: ad.cross_entropy_rows(logits, [1, 0, 5, 3]), [logits])
+
+    def test_cross_entropy_rows_weighted(self):
+        rng = np.random.default_rng(23)
+        logits = rand_tensor(rng, 4, 6)
+        weights = np.array([0.5, 0.0, 0.125, 2.0])  # unequal, one row weighted out
+        loss = ad.cross_entropy_rows(logits, [1, 0, 5, 3], weights)
+        per_row = [ad.cross_entropy_rows(ad.slice_(logits, 0, i, i + 1), [t]).item()
+                   for i, t in enumerate([1, 0, 5, 3])]
+        assert loss.item() == pytest.approx(np.dot(per_row, weights), rel=1e-14)
+        self.check(lambda: ad.cross_entropy_rows(logits, [1, 0, 5, 3], weights), [logits])
+        backward(loss)
+        np.testing.assert_array_equal(logits.grad[1], 0.0)
+
+    def test_cross_entropy_rows_weights_shape_checked(self):
+        with pytest.raises(ShapeError):
+            ad.cross_entropy_rows(Tensor(np.zeros((3, 2))), [0, 1, 0], [1.0, 1.0])
 
 
 def reference_attention(q, k, v, offsets, num_heads, prefix=None):

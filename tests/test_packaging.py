@@ -23,9 +23,9 @@ KEEP = {
     "evaluation.alignment_uniformity": "the representation diagnostic DPT runs are to log",
     "encoder.mlm_loss": "its tests are the one check that the tied MLM head learns alone",
     "pretrain.PretrainConfig": "the configuration of pretrain(), the RIP entry point",
-    "training.train": "pipeline entry point; no caller until the ROADMAP item 5 CLI",
-    "pretrain.pretrain": "pipeline entry point; no caller until the ROADMAP item 5 CLI",
-    "serving.serve": "pipeline entry point; no caller until the ROADMAP item 5 CLI",
+    "training.train": "pipeline entry point; no caller until a `promptir` CLI exists",
+    "pretrain.pretrain": "pipeline entry point; no caller until a `promptir` CLI exists",
+    "serving.serve": "pipeline entry point; no caller until a `promptir` CLI exists",
 }
 
 

@@ -6,13 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from promptir.autodiff import Tensor
+from promptir import autodiff as ad
+from promptir.encoder import encode_states, mlm_logits
 from promptir.pretrain import (
     PreparedCorpus,
     PretrainConfig,
     PretrainUnitConfig,
     contrastive_loss,
-    default_pairing,
     partner_ranks,
     pretrain,
     rip_loss,
@@ -25,19 +25,37 @@ from promptir.tokenizer import Vocabulary
 from conftest import make_tiny_model, make_tiny_prompts
 
 
-def brute_force_contrastive(embs, pairing=None):
-    """Explicit double loop over (anchor, candidate) pairs."""
+def brute_force_contrastive(embs):
+    """Explicit double loop over (anchor, candidate) pairs; 2i and 2i+1 are partners."""
     n = len(embs)
-    pairing = pairing or default_pairing(n)
     total = 0.0
     for a in range(n):
-        partner = pairing[a]
+        partner = a ^ 1
         num = math.exp(float(embs[a] @ embs[partner]))
         den = sum(
             math.exp(float(embs[a] @ embs[o])) for o in range(n) if o != a
         )
         total += -math.log(num / den)
     return total / n
+
+
+def per_unit_mlm(batch, model):
+    """The masked-LM term one unit at a time: each masked unit's logits
+    gathered and cross-entropied alone, zero for units without masked
+    positions, summed left to right and scaled by 1/2m."""
+    n = len(batch.token_ids)
+    masked = [seq for seq in batch.masked if seq.positions]
+    states, offsets = encode_states(model, list(batch.token_ids) + [seq.ids for seq in masked])
+    unit_losses = []
+    if masked:
+        rows = [start + np.asarray(seq.positions) for start, seq in zip(offsets[n:], masked)]
+        logits = mlm_logits(model, states, np.concatenate(rows))
+        ends = np.cumsum([len(seq.positions) for seq in masked])
+        for seq, end in zip(masked, ends):
+            unit_logits = ad.embedding_gather(logits, np.arange(end - len(seq.positions), end))
+            unit_losses.append(ad.cross_entropy_rows(unit_logits, seq.labels).item())
+    unit_losses += [0.0] * (len(batch.masked) - len(masked))
+    return sum(unit_losses) * (1.0 / len(unit_losses))
 
 
 class TestSplitUnits:
@@ -197,9 +215,6 @@ class TestContrastiveLoss:
         assert contrastive_loss(shifted).item() == pytest.approx(base, abs=1e-10)
 
     def test_invalid_pairing_rejected(self):
-        embs = np.zeros((4, 2))
-        with pytest.raises(ValueError, match="involution"):
-            contrastive_loss(embs, pairing=[0, 1, 2, 3])
         with pytest.raises(ValueError, match="even"):
             contrastive_loss(np.zeros((3, 2)))
 
@@ -215,6 +230,16 @@ class TestContrastiveLoss:
         # anchor 1: partner score 1.0, no other beats it -> rank 1
         # anchors 2,3: both non-partners beat the partner -> rank 3
         assert partner_ranks(s) == [2, 1, 3, 3]
+
+    def test_partner_ranks_match_triple_loop(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 4, 6, 10):
+            for _ in range(20):
+                s = rng.integers(0, 3, size=(n, n)).astype(float)  # few values: many ties
+                want = [1 + sum(1 for o in range(n)
+                                if o not in (a, a ^ 1) and s[a, o] > s[a, a ^ 1])
+                        for a in range(n)]
+                assert partner_ranks(s) == want
 
 
 class TestRipLoss:
@@ -242,6 +267,15 @@ class TestRipLoss:
         loss, rep = rip_loss(batch, model)
         assert rep["contrastive"] == pytest.approx(0.0, abs=1e-15)
         assert rep["combined"] == pytest.approx(rep["mlm"], abs=1e-15)
+
+    @pytest.mark.parametrize("mask_rate", [0.0, 0.05, 0.3])
+    def test_mlm_matches_per_unit_composition(self, tiny_vocab, mask_rate):
+        model = make_tiny_model(tiny_vocab, prompt_length=0)
+        batch = self._batch(model, 4, mask_rate)
+        if mask_rate == 0.05:  # some units masked, some not
+            assert len({bool(seq.positions) for seq in batch.masked}) == 2
+        _, rep = rip_loss(batch, model)
+        assert rep["mlm"] == pytest.approx(per_unit_mlm(batch, model), rel=1e-15, abs=0)
 
     def test_report_arithmetic(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab, prompt_length=0)
@@ -297,7 +331,11 @@ class TestPretrain:
         with pytest.raises(ValueError, match="prompt_length"):
             pretrain(corpus, model, PretrainConfig(mode="prompts_only", epochs=1), prompts=ps)
 
-    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1)])
+    @pytest.mark.parametrize("field, value", [("batch_size", 0), ("epochs", -1),
+                                              ("learning_rate", -1e-2), ("warmup_ratio", 3.0),
+                                              ("warmup_ratio", -0.1), ("mask_rate", 1.5),
+                                              ("mask_rate", -0.5), ("mask_rate", math.nan),
+                                              ("weight_decay", -0.5)])
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             PretrainConfig(**{field: value})

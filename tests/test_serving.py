@@ -69,6 +69,13 @@ def delete(srv, path, body=None):
 def raw_reply(srv, request):
     """Send raw request bytes; (status line and headers, JSON body) of the
     one reply the server sends before it closes the connection."""
+    head, body = raw_exchange(srv, request)
+    return head, json.loads(body)
+
+
+def raw_exchange(srv, request):
+    """Send raw request bytes; (status line and headers, body bytes) of the
+    one reply the server sends before it closes the connection."""
     url = urlsplit(srv.base_url)
     with socket.create_connection((url.hostname, url.port), timeout=5) as sock:
         sock.sendall(request)
@@ -79,7 +86,7 @@ def raw_reply(srv, request):
     length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
                       if line.lower().startswith(b"content-length:")))
     assert len(rest) == length  # one reply, nothing after it
-    return head, json.loads(rest)
+    return head, rest
 
 
 def prompt_fields(ps_name, served, inline):
@@ -342,6 +349,38 @@ class TestTransport:
         head, reply = raw_reply(srv, b"POST /prompts HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
                                      b"Content-Length: %d\r\n\r\n" % len(body) + body)
         assert head.startswith(b"HTTP/1.1 400 ") and reply["code"] == "bad_request"
+
+    @pytest.mark.parametrize("accept", ["application/json", "application/octet-stream"])
+    def test_reply_says_connection_close(self, served, accept):
+        srv, model, sets, ids = served
+        body = json.dumps({"text": TEXTS[0], "prompt_id": ids["shared"]}).encode()
+        head, reply = raw_exchange(srv, b"POST /encode HTTP/1.1\r\nHost: x\r\n"
+                                        b"Connection: close\r\nAccept: %s\r\n"
+                                        b"Content-Length: %d\r\n\r\n" % (accept.encode(), len(body))
+                                        + body)
+        assert head.startswith(b"HTTP/1.1 200 ") and b"Connection: close" in head
+        assert b"Content-Type: " + accept.encode() in head
+        want = encode(model, sets["shared"], model.vocab.encode(TEXTS[0])).astype(np.float32)
+        got = (np.frombuffer(reply, dtype="<f4") if accept.endswith("octet-stream")
+               else np.array(json.loads(reply)["vector"], dtype=np.float32))
+        np.testing.assert_array_equal(got, want)
+
+    def test_bad_precision_rejected_before_the_forward(self, served, monkeypatch):
+        srv, _, _, ids = served
+        calls = []
+        original = serving.encode_states
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(serving, "encode_states", counted)
+        status, reply = post_error(srv.base_url + "/encode", {
+            "text": TEXTS[0], "prompt_id": ids["shared"], "precision": "f16"})
+        assert status == 400 and reply["code"] == "bad_request"
+        assert calls == []
+        post_json(srv.base_url + "/encode", {"text": TEXTS[0], "prompt_id": ids["shared"]})
+        assert len(calls) == 1  # the counter sees the server's forwards
 
     def test_short_body_times_out_and_closes(self, served, monkeypatch):
         srv, _, _, _ = served

@@ -1,6 +1,7 @@
 """Dual-encoder training: loss fixtures against brute-force oracles,
 freezing contracts, in-batch denominator construction, determinism."""
 
+import functools
 import math
 
 import numpy as np
@@ -137,7 +138,7 @@ def per_example_loss(batch, model, prompts, config, corpus, positives_of):
         cand_rows = ad.embedding_gather(passages, [row[pid] for pid in cands])
         scores = ad.matmul(ad.embedding_gather(queries, [i]), ad.transpose(cand_rows))
         losses.append(ad.cross_entropy_rows(scores, [0]))
-    return ad.average(losses)
+    return ad.mul(functools.reduce(ad.add, losses), ad.Tensor(1.0 / len(losses)))
 
 
 class GradRecorder(AdamW):
@@ -150,7 +151,9 @@ class GradRecorder(AdamW):
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field, value", [("negatives_per_query", -1), ("batch_size", 0),
-                                              ("epochs", -1)])
+                                              ("epochs", -1), ("learning_rate", -1e-2),
+                                              ("learning_rate", math.nan), ("warmup_ratio", 3.0),
+                                              ("warmup_ratio", -0.1), ("weight_decay", -0.5)])
     def test_out_of_range_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
