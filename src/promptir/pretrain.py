@@ -1,14 +1,14 @@
 """Contrastive intermediate pretraining for retrieval.
 
-From each passage, sample a pair of units (sentences by default, random
-token spans as the alternative); units 2i and 2i+1 of a batch are
-partners. Each unit must be told apart from every other unit in the batch:
-its partner is the target among the 2m-1 non-anchor candidates, scored by
-raw inner products of first-token embeddings. A masked-LM term over
-separately masked copies keeps the backbone's original self-supervised
-objective; the combined step loss is the mean over the 2m units of
-(mlm + contrastive) per unit, as two cross-entropies: over one score
-matrix, and over every masked row weighted so that each unit counts once.
+From each passage, sample a pair of its sentences; units 2i and 2i+1 of
+a batch are partners. Each unit must be told apart from every other unit
+in the batch: its partner is the target among the 2m-1 non-anchor
+candidates, scored by raw inner products of first-token embeddings. A
+masked-LM term over separately masked copies keeps the backbone's
+original self-supervised objective; the combined step loss is the mean
+over the 2m units of (mlm + contrastive) per unit, as two cross-entropies:
+over one score matrix, and over every masked row weighted so that each
+unit counts once.
 
 Two modes: "backbone" updates the whole model (no prompts involved);
 "prompts_only" freezes the backbone and trains a prompt set instead.
@@ -29,7 +29,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, backward
 from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
-from .tokenizer import MASK_ID, tokenize_words
+from .tokenizer import MASK_ID, SPECIALS, tokenize_words
 from .training import check_ranges, fit, unfreeze
 
 _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
@@ -37,16 +37,7 @@ _SENTENCE_SPLIT = re.compile(r"(?<=[.!?])\s+")
 
 @dataclass
 class PretrainUnitConfig:
-    unit: str = "sentence"  # or "span"
     min_sentence_tokens: int = 3
-    span_min: int = 4
-    span_max: int = 8
-
-    def __post_init__(self):
-        if self.unit not in ("sentence", "span"):
-            raise ValueError(f"unknown unit kind: {self.unit}")
-        if self.unit == "span" and not (1 <= self.span_min <= self.span_max):
-            raise ValueError("invalid span length range")
 
 
 @dataclass
@@ -83,77 +74,41 @@ class PretrainStepReport:
 # ---------------------------------------------------------------------------
 
 
-def split_units(text, cfg, rng=None):
-    """Units of a passage.
-
-    Sentence mode: split after sentence-final punctuation, merge fragments
-    shorter than the token minimum into the following sentence (a trailing
-    short fragment joins the previous unit). Span mode: two random token
-    windows with lengths drawn from the configured range (needs rng).
-    """
+def split_units(text, cfg):
+    """Sentences of a passage: split after sentence-final punctuation, merge
+    fragments shorter than the token minimum into the following sentence (a
+    trailing short fragment joins the previous unit)."""
     text = text.strip()
     if not text:
         raise ValueError("split_units: empty text")
-    if cfg.unit == "sentence":
-        units, buffer = [], ""
-        for part in _SENTENCE_SPLIT.split(text):
-            candidate = f"{buffer} {part}".strip() if buffer else part
-            if len(tokenize_words(candidate)) >= cfg.min_sentence_tokens:
-                units.append(candidate)
-                buffer = ""
-            else:
-                buffer = candidate
-        if buffer:
-            if units:
-                units[-1] = f"{units[-1]} {buffer}"
-            else:
-                units = [buffer]
-        return units
-
-    if rng is None:
-        raise ValueError("span mode requires an rng")
-    tokens = tokenize_words(text)
-    if span_window_count(len(tokens), cfg) < 1:
-        return []
-    first = _draw_span(tokens, cfg, rng)
-    for _ in range(20):
-        second = _draw_span(tokens, cfg, rng)
-        if second != first:
-            return [" ".join(tokens[s:e]) for s, e in (first, second)]
-    return [" ".join(tokens[first[0]:first[1]])]
-
-
-def _draw_span(tokens, cfg, rng):
-    hi = min(cfg.span_max, len(tokens))
-    length = int(rng.integers(cfg.span_min, hi + 1))
-    start = int(rng.integers(0, len(tokens) - length + 1))
-    return (start, start + length)
-
-
-def span_window_count(n_tokens, cfg):
-    """Number of distinct (start, length) windows available."""
-    total = 0
-    for length in range(cfg.span_min, min(cfg.span_max, n_tokens) + 1):
-        total += n_tokens - length + 1
-    return total
+    units, buffer = [], ""
+    for part in _SENTENCE_SPLIT.split(text):
+        candidate = f"{buffer} {part}".strip() if buffer else part
+        if len(tokenize_words(candidate)) >= cfg.min_sentence_tokens:
+            units.append(candidate)
+            buffer = ""
+        else:
+            buffer = candidate
+    if buffer:
+        if units:
+            units[-1] = f"{units[-1]} {buffer}"
+        else:
+            units = [buffer]
+    return units
 
 
 class PreparedCorpus:
-    """Pre-split corpus with pairing eligibility and a skip report."""
+    """Pre-split corpus, a {pid: text} dict or (pid, text) pairs, with pairing
+    eligibility and a skip report."""
 
     def __init__(self, corpus, cfg):
         self.cfg = cfg
-        self.passages = []  # (pid, text, units-or-None)
+        self.passages = []  # (pid, units) of passages with two or more units
         skipped = 0
-        for pid, text in corpus:
-            if cfg.unit == "sentence":
-                units = split_units(text, cfg)
-                ok = len(units) >= 2
-            else:
-                units = None
-                ok = span_window_count(len(tokenize_words(text)), cfg) >= 2
-            if ok:
-                self.passages.append((pid, text, units))
+        for pid, text in corpus.items() if isinstance(corpus, dict) else corpus:
+            units = split_units(text, cfg)
+            if len(units) >= 2:
+                self.passages.append((pid, units))
             else:
                 skipped += 1
         self.skip_report = {
@@ -185,17 +140,10 @@ def sample_batch(corpus, cfg, m, rng, vocab, max_seq_len, mask_rate=0.15):
     picks = rng.choice(len(prepared), size=m, replace=False)
     passage_ids, pairs = [], []
     for i in picks:
-        pid, text, units = prepared.passages[int(i)]
-        if cfg.unit == "sentence":
-            a, b = rng.choice(len(units), size=2, replace=False)
-            pair = (units[int(a)], units[int(b)])
-        else:
-            drawn = split_units(text, cfg, rng=rng)
-            if len(drawn) < 2:
-                drawn = drawn * 2  # degenerate single-window passage
-            pair = (drawn[0], drawn[1])
+        pid, units = prepared.passages[int(i)]
+        a, b = rng.choice(len(units), size=2, replace=False)
         passage_ids.append(pid)
-        pairs.append(pair)
+        pairs.append((units[int(a)], units[int(b)]))
 
     token_ids = []
     for a, b in pairs:
@@ -215,8 +163,6 @@ def sample_batch(corpus, cfg, m, rng, vocab, max_seq_len, mask_rate=0.15):
 
 
 def _force_one_mask(masked):
-    from .tokenizer import SPECIALS
-
     for seq in masked:
         for pos, tok in enumerate(seq.ids):
             if tok >= len(SPECIALS):

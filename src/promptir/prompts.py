@@ -196,8 +196,8 @@ def promptset_to_json(ps):
 
 def promptset_from_json(doc):
     """The PromptSet a prompt-set document holds; ValueError on a missing
-    header field, one of the wrong JSON type or value, or a payload that is
-    not exact base64 of the declared shapes."""
+    header field, one of the wrong JSON type or value (a negative integer
+    included), or a payload that is not exact base64 of the declared shapes."""
     if not isinstance(doc, dict) or doc.get("format") != "promptset":
         raise ValueError("not a promptset document")
     missing = [key for key in _HEADER_FIELDS if key not in doc]
@@ -208,6 +208,8 @@ def promptset_from_json(doc):
     for key, value in ints.items():
         if type(value) is not int:  # JSON true/false arrive as bool, a subclass of int
             raise ValueError(f"{key} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     if ints["version"] != PROMPTSET_VERSION:
         raise ValueError(f"unsupported promptset version {ints['version']}")
     if not isinstance(doc["task_name"], str):

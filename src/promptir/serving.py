@@ -22,7 +22,8 @@ of {"text", "token_ids"}; optional "role" in {"query", "passage"} (default
 "query") and "precision" in {"f32", "f64"} (default "f32"). The response
 vector is a JSON number array at the requested precision; with
 ``Accept: application/octet-stream`` the body is instead the raw
-little-endian float32 array and metadata moves into response headers.
+little-endian float32 array (so "precision", if given, must be "f32")
+and metadata moves into response headers.
 
 Errors are JSON {"code", "message", "detail"} with 4xx status codes. A
 body that is not a JSON object, a field of the wrong JSON type, or a
@@ -74,6 +75,16 @@ class ServiceError(Exception):
 
     def to_body(self):
         return {"code": self.code, "message": self.message, "detail": self.detail}
+
+
+def _reply_dtype(request, allowed):
+    """The dtype of a reply's vector; 400 before any forward for a
+    "precision" that is not one of the reply kind's allowed names."""
+    precision = request.get("precision", "f32")
+    if precision not in allowed:  # a tuple compares with ==, so a JSON list or object is fine
+        raise ServiceError(400, "bad_request",
+                           f"precision must be one of {', '.join(allowed)}, got {precision!r}")
+    return {"f32": "<f4", "f64": "<f8"}[precision]
 
 
 class EncodingService:
@@ -175,21 +186,19 @@ class EncodingService:
 
     def encode_response(self, request):
         start = time.perf_counter()
-        precision = request.get("precision", "f32")
-        dtypes = {"f64": np.float64, "f32": np.float32}
-        if precision not in dtypes:
-            raise ServiceError(400, "bad_request", f"unknown precision {precision!r}")
+        dtype = _reply_dtype(request, ("f32", "f64"))
         vec = self.encode_vector(request)
         return {
-            "vector": vec.astype(dtypes[precision]).tolist(),
+            "vector": vec.astype(dtype).tolist(),
             "fingerprint": self.fingerprint,
             "timing_ms": (time.perf_counter() - start) * 1e3,
         }
 
     def encode_binary(self, request):
         start = time.perf_counter()
+        dtype = _reply_dtype(request, ("f32",))
         vec = self.encode_vector(request)
-        body = np.ascontiguousarray(vec, dtype="<f4").tobytes()
+        body = np.ascontiguousarray(vec, dtype=dtype).tobytes()
         timing = (time.perf_counter() - start) * 1e3
         return body, timing
 

@@ -61,7 +61,6 @@ class TrainConfig:
     seed: int = 0
     weight_decay: float = 0.01
     warmup_ratio: float = 0.1
-    separate_prompts: bool = False
 
     def __post_init__(self):
         if self.mode not in ("dpt", "ft"):
@@ -114,13 +113,14 @@ def nll_loss(pos_score, neg_scores):
     return float(lse - scores[0])
 
 
-def unfreeze(model, prompts, mode, seed, task_name="task", separate_roles=False, mlm=False):
+def unfreeze(model, prompts, mode, seed, task_name="task", mlm=False):
     """Set which weights train; returns (prompts, trainable parameters).
 
     The backbone modes ("ft", "backbone") train the model and forbid
     prompts; the MLM head's bias trains only with mlm, since it is not on
     the encode path. The prompt modes freeze the model and train the prompt
-    set, created with the model's prompt geometry when prompts is None.
+    set, created with the model's prompt geometry and one group shared by
+    both roles when prompts is None.
     """
     if mode in ("ft", "backbone"):
         if prompts is not None:
@@ -133,8 +133,7 @@ def unfreeze(model, prompts, mode, seed, task_name="task", separate_roles=False,
         cfg = model.config
         prompts = PromptSet.create(
             task_name, cfg.prompt_length, cfg.hidden_size, cfg.num_layers,
-            reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden,
-            separate_roles=separate_roles, seed=seed,
+            reparam_mode=cfg.reparam_mode, mlp_hidden=cfg.mlp_hidden, seed=seed,
         )
     if prompts.prompt_length == 0:
         raise ValueError(f"{mode} mode trains prompts, but the prompt set has prompt_length 0")
@@ -281,8 +280,7 @@ def train(dataset, corpus_texts, model, prompts, config, out_dir=None, qrels=Non
     if isinstance(corpus_texts, list):
         corpus_texts = dict(corpus_texts)
 
-    prompts, train_params = unfreeze(model, prompts, config.mode, config.seed,
-                                     separate_roles=config.separate_prompts)
+    prompts, train_params = unfreeze(model, prompts, config.mode, config.seed)
 
     positives_of = {}
     for ex in dataset:

@@ -29,8 +29,9 @@ def _doubled_roles(doc):
 
 # edits of a shared direct_embedding prompt-set document that must get a
 # ValueError: most of them a reader which casts with int() and skips
-# non-base64 characters would still load, and the last two used to raise
-# KeyError and TypeError
+# non-base64 characters would still load, missing_field and int_payload used
+# to raise KeyError and TypeError, and a negative field used to load (L with
+# an empty payload) or fail later with a message that named no field
 BAD_PROMPTSET_HEADERS = {
     "float_l": lambda doc: {**doc, "l": doc["l"] + 0.7},
     "string_d": lambda doc: {**doc, "d": str(doc["d"])},
@@ -44,6 +45,10 @@ BAD_PROMPTSET_HEADERS = {
     "non_base64_payload": lambda doc: {**doc, "payload_b64": "!" + doc["payload_b64"]},
     "missing_field": lambda doc: {key: value for key, value in doc.items() if key != "l"},
     "int_payload": lambda doc: {**doc, "payload_b64": 5},
+    "negative_l": lambda doc: {**doc, "l": -1},
+    "negative_d": lambda doc: {**doc, "d": -2},
+    "negative_L_empty_payload": lambda doc: {**doc, "L": -1, "payload_b64": ""},
+    "negative_mlp_hidden": lambda doc: {**doc, "mlp_hidden": -3},
 }
 
 

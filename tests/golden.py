@@ -160,8 +160,7 @@ def golden_values():
     for name, (case, mode) in TRAJECTORIES.items():
         model, prompts = build(case)
         config = TrainConfig(mode=mode, epochs=5, batch_size=4, negatives_per_query=2,
-                             learning_rate=1e-2, warmup_ratio=0.0,
-                             separate_prompts=case == "separate")
+                             learning_rate=1e-2, warmup_ratio=0.0)
         result = train(examples[:4], corpus, model, prompts, config)
         out["losses"][name] = [r.loss for r in result.log]
     # two sentences per passage, so every passage yields a unit pair

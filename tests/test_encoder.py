@@ -430,10 +430,14 @@ class TestSerialization:
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x, y)
 
-    @pytest.mark.parametrize("edit", BAD_PROMPTSET_HEADERS.values(), ids=BAD_PROMPTSET_HEADERS)
-    def test_promptset_header_strict(self, tiny_prompts, edit):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("name, edit", BAD_PROMPTSET_HEADERS.items(),
+                             ids=list(BAD_PROMPTSET_HEADERS))
+    def test_promptset_header_strict(self, tiny_prompts, name, edit):
+        with pytest.raises(ValueError) as exc:
             promptset_from_json(edit(promptset_to_json(tiny_prompts)))
+        if name.startswith("negative_"):  # the message names the field
+            field = name.removeprefix("negative_").removesuffix("_empty_payload")
+            assert str(exc.value).startswith(f"{field} must be >= 0")
 
     def test_promptset_file_nested_too_deep_rejected(self, tmp_path):
         path = tmp_path / "deep.promptset.json"

@@ -17,7 +17,6 @@ from promptir.pretrain import (
     pretrain,
     rip_loss,
     sample_batch,
-    span_window_count,
     split_units,
 )
 from promptir.tokenizer import Vocabulary
@@ -59,7 +58,7 @@ def per_unit_mlm(batch, model):
 
 
 class TestSplitUnits:
-    CFG = PretrainUnitConfig(unit="sentence")
+    CFG = PretrainUnitConfig()
 
     def test_two_plain_sentences(self):
         assert split_units("A b c. D e f.", self.CFG) == ["A b c.", "D e f."]
@@ -80,26 +79,6 @@ class TestSplitUnits:
         units = split_units("Is this real? Yes it is! Good to know.", self.CFG)
         assert units == ["Is this real?", "Yes it is!", "Good to know."]
 
-    def test_span_mode_fixed_length(self):
-        cfg = PretrainUnitConfig(unit="span", span_min=4, span_max=4)
-        text = "one two three four five six seven eight nine ten"
-        for seed in range(50):
-            rng = np.random.default_rng(seed)
-            spans = split_units(text, cfg, rng=rng)
-            assert len(spans) == 2
-            for s in spans:
-                assert len(s.split()) == 4
-
-    def test_span_mode_requires_rng(self):
-        cfg = PretrainUnitConfig(unit="span")
-        with pytest.raises(ValueError, match="rng"):
-            split_units("a b c d e f", cfg)
-
-    def test_window_count(self):
-        cfg = PretrainUnitConfig(unit="span", span_min=4, span_max=4)
-        assert span_window_count(10, cfg) == 7
-        assert span_window_count(3, cfg) == 0
-
 
 class TestPreparedCorpus:
     def test_skip_report_counts_single_unit_passages(self):
@@ -114,6 +93,16 @@ class TestPreparedCorpus:
             "skipped_passages": 1,
             "reasons": {"too_few_units": 1},
         }
+
+    def test_dict_corpus_equals_its_items(self):
+        corpus = dict(topic_corpus(6))
+        corpus["p_short"] = "Only one sentence in this passage."
+        from_dict = PreparedCorpus(corpus, PretrainUnitConfig())
+        from_items = PreparedCorpus(list(corpus.items()), PretrainUnitConfig())
+        assert len(from_dict) == 6
+        assert from_dict.passages == from_items.passages
+        assert from_dict.skip_report == from_items.skip_report
+        assert from_dict.skip_report["skipped_passages"] == 1
 
 
 class TestSampleBatch:

@@ -39,9 +39,9 @@ def served(tiny_vocab):
         yield srv, model, {"shared": shared, "separate": separate}, ids
 
 
-def post_error(url, body):
+def post_error(url, body, headers=None):
     with pytest.raises(urllib.error.HTTPError) as exc:
-        post_json(url, body)
+        post_json(url, body, headers)
     return exc.value.code, json.loads(exc.value.read().decode("utf-8"))
 
 
@@ -375,9 +375,15 @@ class TestTransport:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(serving, "encode_states", counted)
-        status, reply = post_error(srv.base_url + "/encode", {
-            "text": TEXTS[0], "prompt_id": ids["shared"], "precision": "f16"})
-        assert status == 400 and reply["code"] == "bad_request"
+        json_reply, binary_reply = {}, {"Accept": "application/octet-stream"}
+        # the octet-stream body is float32 by contract, so f64 is refused there
+        for precision, headers in [("f16", json_reply), (["f32"], json_reply),
+                                   ({"a": 1}, json_reply), (None, json_reply),
+                                   ("f16", binary_reply), ("bogus", binary_reply),
+                                   (["f32"], binary_reply), ("f64", binary_reply)]:
+            status, reply = post_error(srv.base_url + "/encode", {
+                "text": TEXTS[0], "prompt_id": ids["shared"], "precision": precision}, headers)
+            assert (status, reply["code"]) == (400, "bad_request"), (precision, headers)
         assert calls == []
         post_json(srv.base_url + "/encode", {"text": TEXTS[0], "prompt_id": ids["shared"]})
         assert len(calls) == 1  # the counter sees the server's forwards
