@@ -152,8 +152,9 @@ def matmul(a, b):
 
 def linear(x, w, b):
     """x @ w + b with a row bias: add(matmul(x, w), b) in one op, bitwise."""
-    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0] or b.shape != (w.shape[1],):
-        raise ShapeError("linear", x.shape, w.shape, b.shape)
+    xs, ws = x.data.shape, w.data.shape  # read off the arrays: the properties cost a call each
+    if len(xs) != 2 or len(ws) != 2 or xs[1] != ws[0] or b.data.shape != ws[1:]:
+        raise ShapeError("linear", xs, ws, b.data.shape)
     out_data = _product(x.data, w.data)
     out_data += b.data
 
@@ -220,17 +221,14 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
     all sequences share, then to its own rows. Heads are reshaped column
     blocks. Each sequence runs alone, so its rows ignore the others.
     """
-    if q.ndim != 2 or k.shape != q.shape or v.shape != q.shape or q.shape[1] % num_heads:
-        raise ShapeError("attention", q.shape, k.shape, v.shape)
-    n, d = q.shape
-    offsets = np.asarray(offsets, dtype=np.int64)
-    if offsets[0] != 0 or offsets[-1] != n or np.any(np.diff(offsets) < 1):
+    shape = q.data.shape
+    if len(shape) != 2 or k.data.shape != shape or v.data.shape != shape or shape[1] % num_heads:
+        raise ShapeError("attention", shape, k.data.shape, v.data.shape)
+    n, d = shape
+    spans = list(zip(offsets[:-1], offsets[1:]))
+    if offsets[0] != 0 or offsets[-1] != n or any(lo >= hi for lo, hi in spans):
         raise ValueError("attention: offsets must rise from 0 to the row count")
-    pk, pv = prefix if prefix is not None else (Tensor(np.zeros((0, d))),) * 2
-    if pk.shape != pv.shape or pk.shape[1:] != (d,):
-        raise ShapeError("attention", q.shape, pk.shape, pv.shape)
-    parents = (q, k, v, pk, pv)
-    h, dh, l = num_heads, d // num_heads, pk.shape[0]
+    h, dh = num_heads, d // num_heads
     c = 1.0 / math.sqrt(dh)
 
     def heads(rows):  # (T, d) -> (h, T, dh)
@@ -239,10 +237,16 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
     def merge(x):  # (h, T, dh) -> (T, d)
         return x.transpose(1, 0, 2).reshape(x.shape[1], d)
 
-    spans = list(zip(offsets[:-1], offsets[1:]))
+    parents, pkh = (q, k, v), np.empty((h, 0, dh))  # concatenates like an empty prefix
+    pvh = pkh
+    if prefix is not None:
+        pk, pv = prefix
+        if pk.data.shape != pv.data.shape or pk.data.shape[1:] != (d,):
+            raise ShapeError("attention", shape, pk.data.shape, pv.data.shape)
+        parents, pkh, pvh = (q, k, v, pk, pv), heads(pk.data), heads(pv.data)
+    l = pkh.shape[1]
     keep = any(t.requires_grad for t in parents)
     out_data = np.empty_like(q.data)
-    pkh, pvh = heads(pk.data), heads(pv.data)
     saved = []  # per sequence: q, k, v heads and the attention weights
     for lo, hi in spans:
         qh = heads(q.data[lo:hi])
@@ -260,8 +264,8 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
             saved.append((qh, kh, vh, probs))
 
     def grad_fn(g):
-        need_k = k.requires_grad or pk.requires_grad
-        need_v = v.requires_grad or pv.requires_grad
+        need_k = k.requires_grad or (prefix is not None and pk.requires_grad)
+        need_v = v.requires_grad or (prefix is not None and pv.requires_grad)
         gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
         gpk, gpv = np.zeros((h, l, dh)), np.zeros((h, l, dh))
         for (lo, hi), (qh, kh, vh, probs) in zip(spans, saved):
@@ -286,31 +290,40 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
     return _node(out_data, parents, grad_fn)
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row layer norm over the last axis with learnable gain and bias."""
-    if x.ndim != 2 or gain.shape != (x.shape[1],) or bias.shape != (x.shape[1],):
-        raise ShapeError("layer_norm", x.shape, gain.shape)
-    # centered once; bitwise np.mean and np.var, which sum with add.reduce
-    # and divide by n, without their Python wrappers
-    n = x.shape[1]
-    xc = x.data - np.add.reduce(x.data, axis=-1, keepdims=True) / n
-    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out_data = xhat * gain.data + bias.data
+def layer_norm(x, gain, bias, eps=1e-5, residual=None):
+    """Per-row layer norm over the last axis with learnable gain and bias;
+    of x + residual in one op when a same-shape residual is given."""
+    shape = x.data.shape
+    if (len(shape) != 2 or gain.data.shape != shape[1:] or bias.data.shape != shape[1:]
+            or (residual is not None and residual.data.shape != shape)):
+        raise ShapeError("layer_norm", shape, gain.data.shape)
+    inputs = (x,) if residual is None else (x, residual)
+    # centered once, in place; bitwise np.mean and np.var, which sum with
+    # add.reduce and divide by n, without their Python wrappers
+    n = shape[1]
+    xhat = x.data.copy() if residual is None else x.data + residual.data
+    xhat -= np.add.reduce(xhat, axis=-1, keepdims=True) / n
+    inv_std = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps
+    np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
+    xhat *= inv_std
+    out_data = xhat * gain.data
+    out_data += bias.data
 
     def grad_fn(g):
-        if x.requires_grad:
-            d_xhat = g * gain.data
-            m = np.add.reduce(d_xhat, axis=-1, keepdims=True) / n
-            mx = np.add.reduce(d_xhat * xhat, axis=-1, keepdims=True) / n
-            _accum(x, inv_std * (d_xhat - m - xhat * mx))
+        if any(t.requires_grad for t in inputs):
+            gx = g * gain.data
+            mx = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
+            gx -= np.add.reduce(gx, axis=-1, keepdims=True) / n
+            gx -= xhat * mx
+            gx *= inv_std
+            for t in inputs:
+                _accum(t, gx)
         if gain.requires_grad:
             _accum(gain, (g * xhat).sum(axis=0))
         if bias.requires_grad:
             _accum(bias, g.sum(axis=0))
 
-    return _node(out_data, (x, gain, bias), grad_fn)
+    return _node(out_data, inputs + (gain, bias), grad_fn)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)

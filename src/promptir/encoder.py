@@ -20,14 +20,18 @@ the same code is the inference path. A forward's arrays grow with its row
 count, so bulk encoding (vector_index) packs up to a token-row budget,
 not a sequence count: past a few hundred rows the FFN's arrays leave the
 cache, and the allocator hands them back to the OS to be faulted in again.
+Each residual add folds into the layer norm after it. The last layer runs
+attention over every row, for its keys and values, and the rest of itself
+only on the rows its caller reads: [CLS] rows, or masked-LM rows.
 
 Batch invariance: a sequence's rows are bitwise the same alone or anywhere
-in any batch (TestPackedForward in tests/test_encoder.py). Row-wise ops
-compute each row alone, and gemm rounds a row alike at any row count
-(matmul keeps one-row products off gemv). Padding would break this: masked
-key slots change how numpy's pairwise sum associates the softmax
-denominator. Search stays one index.vectors @ q per query for the same
-reason: a batched vectors @ Q.T rounds differently.
+in any batch, and a requested row is the full forward's row, bitwise
+(TestPackedForward in tests/test_encoder.py). Row-wise ops compute each
+row alone, and gemm rounds a row alike at any row count (matmul keeps
+one-row products off gemv). Padding would break this: masked key slots
+change how numpy's pairwise sum associates the softmax denominator.
+Search stays one index.vectors @ q per query for the same reason: a
+batched vectors @ Q.T rounds differently.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ import hashlib
 import io
 import json
 import struct
+from itertools import accumulate
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -203,12 +208,18 @@ def _check_ids(model, token_ids):
     return ids
 
 
-def encode_states(model, sequences, prefix=None):
+def packed_offsets(sequences):
+    """Where each sequence's rows start in the packed layout, plus the row count."""
+    return list(accumulate(map(len, sequences), initial=0))
+
+
+def encode_states(model, sequences, prefix=None, rows=None):
     """Final-layer hidden states of a batch of id sequences, packed.
 
     Returns (states, offsets): states is a (sum T_i, d) graph tensor whose
     rows offsets[i]:offsets[i+1] belong to sequences[i]. prefix is None or
-    one (K, V) pair per layer, shared by every sequence of the batch.
+    one (K, V) pair per layer, shared by every sequence of the batch. Given
+    rows, packed row indices, states holds just those rows, in that order.
     """
     cfg = model.config
     p = model.params
@@ -217,30 +228,30 @@ def encode_states(model, sequences, prefix=None):
         raise ValueError("encode_states: no sequences")
     if prefix is not None and len(prefix) not in (0, cfg.num_layers):
         raise ValueError("prefix must supply one (K, V) pair per layer")
-    lengths = [len(ids) for ids in seqs]
-    offsets = np.cumsum([0] + lengths)
+    offsets = packed_offsets(seqs)
 
     def linear(x, base, name):
         return ad.linear(x, p[base + "w" + name], p[base + "b" + name])
 
-    x = ad.add(ad.embedding_gather(p["tok_emb"], np.concatenate(seqs)),
-               ad.embedding_gather(p["pos_emb"], np.concatenate([np.arange(n) for n in lengths])))
-    x = ad.layer_norm(x, p["emb_ln_g"], p["emb_ln_b"], eps=LAYER_NORM_EPS)
+    def norm(x, base, residual):
+        return ad.layer_norm(x, p[base + "_g"], p[base + "_b"], LAYER_NORM_EPS, residual)
+
+    x = norm(ad.embedding_gather(p["tok_emb"], np.concatenate(seqs)), "emb_ln",
+             ad.embedding_gather(p["pos_emb"], np.concatenate([np.arange(len(s)) for s in seqs])))
     for k in range(cfg.num_layers):
         base = f"layer{k}."
         attn = ad.attention(linear(x, base, "q"), linear(x, base, "k"), linear(x, base, "v"),
                             offsets, cfg.num_heads, prefix=prefix[k] if prefix else None)
-        x = ad.layer_norm(ad.add(x, linear(attn, base, "o")),
-                          p[base + "ln1_g"], p[base + "ln1_b"], eps=LAYER_NORM_EPS)
-        f = linear(ad.gelu(linear(x, base, "1")), base, "2")
-        x = ad.layer_norm(ad.add(x, f), p[base + "ln2_g"], p[base + "ln2_b"], eps=LAYER_NORM_EPS)
+        if rows is not None and k == cfg.num_layers - 1:
+            attn, x = ad.embedding_gather(attn, rows), ad.embedding_gather(x, rows)
+        x = norm(linear(attn, base, "o"), base + "ln1", x)
+        x = norm(linear(ad.gelu(linear(x, base, "1")), base, "2"), base + "ln2", x)
     return x, offsets
 
 
 def pooled(model, sequences, prefix=None):
     """First-token ([CLS]) embeddings of a batch as one (n, d) graph tensor."""
-    states, offsets = encode_states(model, sequences, prefix=prefix)
-    return ad.embedding_gather(states, offsets[:-1])
+    return encode_states(model, sequences, prefix, packed_offsets(sequences)[:-1])[0]
 
 
 def inference_prefix(model, prompts, role):
@@ -312,11 +323,11 @@ def mlm_loss(model, batch, prompts=None, role="query"):
     seqs = [seq for seq in batch if seq.positions]
     if not seqs:
         raise ValueError("mlm_loss: batch contains no masked positions")
-    states, offsets = encode_states(model, [seq.ids for seq in seqs],
-                                    prefix=prefix_kv(model, prompts, role))
-    rows = np.concatenate([start + np.asarray(seq.positions) for start, seq in zip(offsets, seqs)])
+    ids = [seq.ids for seq in seqs]
+    rows = [start + pos for start, seq in zip(packed_offsets(ids), seqs) for pos in seq.positions]
+    states, _ = encode_states(model, ids, prefix_kv(model, prompts, role), rows)
     labels = [label for seq in seqs for label in seq.labels]
-    return ad.cross_entropy_rows(mlm_logits(model, states, rows), labels)
+    return ad.cross_entropy_rows(mlm_logits(model, states, np.arange(len(rows))), labels)
 
 
 # ---------------------------------------------------------------------------

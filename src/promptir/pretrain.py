@@ -28,7 +28,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, backward
-from .encoder import MaskedSequence, apply_mlm_masking, encode_states, mlm_logits, prefix_kv
+from .encoder import (MaskedSequence, apply_mlm_masking, encode_states, mlm_logits,
+                      packed_offsets, prefix_kv)
 from .tokenizer import MASK_ID, SPECIALS, tokenize_words
 from .training import check_ranges, fit, unfreeze
 
@@ -106,7 +107,7 @@ class PreparedCorpus:
         self.passages = []  # (pid, units) of passages with two or more units
         skipped = 0
         for pid, text in corpus.items() if isinstance(corpus, dict) else corpus:
-            units = split_units(text, cfg)
+            units = split_units(text, cfg) if text.strip() else []  # split_units rejects ""
             if len(units) >= 2:
                 self.passages.append((pid, units))
             else:
@@ -215,16 +216,18 @@ def rip_loss(batch, model, prompts=None):
     """
     n = len(batch.token_ids)
     masked = [seq for seq in batch.masked if seq.positions]
-    states, offsets = encode_states(model, list(batch.token_ids) + [seq.ids for seq in masked],
-                                    prefix=prefix_kv(model, prompts, "query"))
-    embs = ad.embedding_gather(states, offsets[:n])
+    seqs = list(batch.token_ids) + [seq.ids for seq in masked]
+    offsets = packed_offsets(seqs)
+    rows = offsets[:n] + [start + pos for start, seq in zip(offsets[n:], masked)
+                          for pos in seq.positions]  # [CLS] rows, then masked rows
+    states, _ = encode_states(model, seqs, prefix_kv(model, prompts, "query"), rows)
+    embs = ad.slice_(states, 0, 0, n)
     l_c = contrastive_loss(embs)
 
     l_s = Tensor(0.0)
     if masked:
-        rows = [start + np.asarray(seq.positions) for start, seq in zip(offsets[n:], masked)]
         counts = np.array([len(seq.positions) for seq in masked])
-        l_s = ad.cross_entropy_rows(mlm_logits(model, states, np.concatenate(rows)),
+        l_s = ad.cross_entropy_rows(mlm_logits(model, states, np.arange(n, len(rows))),
                                     np.concatenate([seq.labels for seq in masked]),
                                     np.repeat(1.0 / (n * counts), counts))
     combined = ad.add(l_s, l_c)

@@ -181,8 +181,8 @@ class EncodingService:
         """The d-dim float64 vector for an EncodeRequest dict."""
         prefix = self._resolve_prefix(request)
         ids = self._resolve_tokens(request)
-        states, _ = encode_states(self.model, [ids], prefix=prefix)
-        return states.data[0].copy()
+        states, _ = encode_states(self.model, [ids], prefix, rows=[0])
+        return states.data[0]
 
     def encode_response(self, request):
         start = time.perf_counter()

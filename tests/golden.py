@@ -21,7 +21,10 @@ trajectories as re-recorded for the one weighted masked-LM cross-entropy
 that keeps the forward's numbers must keep all three.
 
 Regenerate only on a deliberate numerical change, and only the keys it
-moves; the others keep what earlier code recorded:
+moves; the others keep what earlier code recorded. For every embedding
+list and trajectory that a rewritten key holds or hashes, it prints the
+largest relative change from the stored values, the number a re-record
+states as its reason:
 
     PYTHONPATH=src:tests python tests/golden.py KEY [KEY ...]
 """
@@ -183,14 +186,29 @@ def relative_error(got, want):
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
+def drifts(got, want, path):
+    """(path, max relative change over its steps) of every trajectory or
+    embedding list in got, against the same place in want."""
+    if isinstance(got, dict):
+        for key in got:
+            yield from drifts(got[key], want[key], f"{path}.{key}")
+    else:
+        yield path, max(relative_error(a, b) for a, b in zip(got, want, strict=True))
+
+
 def main(keys):
-    """Rewrite only the named keys of the golden file."""
+    """Rewrite only the named keys of the golden file, printing how far the
+    values each rewritten key holds or hashes moved from the stored ones."""
     got = golden_values()
     unknown = sorted(set(keys) - set(got))
     if not keys or unknown:
         raise SystemExit(f"usage: golden.py KEY [KEY ...] with keys from {sorted(got)}"
                          + (f"; unknown: {unknown}" if unknown else ""))
     want = json.loads(PATH.read_text()) if PATH.exists() else {}
+    for source in dict.fromkeys(key.removeprefix("forward_") for key in keys):
+        if source in FORWARD_KEYS and source in want:
+            for path, change in drifts(got[source], want[source], source):
+                print(f"{path}: max relative change {change:.2g}")
     want.update({key: got[key] for key in keys})
     PATH.parent.mkdir(exist_ok=True)
     PATH.write_text(json.dumps(want, indent=1) + "\n")

@@ -152,6 +152,22 @@ class TestOpGradChecks:
         w = Tensor(rng.normal(size=(3, 6)))
         self.check(lambda: ad.sum_all(ad.mul(ad.layer_norm(x, g, b), w)), [x, g, b])
 
+    @pytest.mark.parametrize("frozen", [None, "x", "residual"])
+    def test_layer_norm_residual(self, frozen):
+        # LN(x + residual): each trainable input gets the gradient, whichever is frozen
+        rng = np.random.default_rng(17)
+        x, r = rand_tensor(rng, 3, 6), rand_tensor(rng, 3, 6)
+        g, b = rand_tensor(rng, 6), rand_tensor(rng, 6)
+        x.requires_grad, r.requires_grad = frozen != "x", frozen != "residual"
+        w = Tensor(rng.normal(size=(3, 6)))
+
+        def f():
+            return ad.sum_all(ad.mul(ad.layer_norm(x, g, b, residual=r), w))
+
+        self.check(f, [t for t in (x, r, g, b) if t.requires_grad])
+        backward(f())
+        assert (x.grad is None) == (frozen == "x") and (r.grad is None) == (frozen == "residual")
+
     def test_gelu(self):
         rng = np.random.default_rng(16)
         a = rand_tensor(rng, 4, 4)
@@ -355,6 +371,22 @@ class TestBitwiseRewrites:
         backward(ad.sum_all(ad.mul(out, Tensor(g))))
         want = old_layer_norm(x.data, gain.data, bias.data, g)
         for got, ref in zip((out.data, x.grad, gain.grad, bias.grad), want):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_layer_norm_residual_matches_add(self, rows):
+        rng = np.random.default_rng(39)
+        x, r, gain, bias = (rand_tensor(rng, rows, 64), rand_tensor(rng, rows, 64),
+                            rand_tensor(rng, 64), rand_tensor(rng, 64))
+        g = Tensor(rng.normal(size=(rows, 64)))
+        grads = []
+        for out in (ad.layer_norm(x, gain, bias, residual=r),
+                    ad.layer_norm(ad.add(x, r), gain, bias)):
+            backward(ad.sum_all(ad.mul(out, g)))
+            grads.append((out.data, x.grad, r.grad, gain.grad, bias.grad))
+            for t in (x, r, gain, bias):
+                t.zero_grad()
+        for got, ref in zip(*grads):
             np.testing.assert_array_equal(got, ref)
 
     @pytest.mark.parametrize("rows", [1, 2, 7])

@@ -205,6 +205,13 @@ def _invariance_models():
 INVARIANCE_MODELS = _invariance_models()
 
 
+def random_batch(model, lengths, rng):
+    """[CLS]-led sequences of random ids, one per length (capped at max_seq_len)."""
+    cfg = model.config
+    return [[CLS_ID] + rng.integers(0, cfg.vocab_size, size=min(n, cfg.max_seq_len) - 1).tolist()
+            for n in lengths]
+
+
 def assert_batch_invariant(model, prefix, batch):
     """Every sequence's rows in the packed batch equal its lone forward, bitwise."""
     states, offsets = encode_states(model, batch, prefix=prefix)
@@ -226,11 +233,29 @@ class TestPackedForward:
     def test_any_batch_any_position(self, name, lengths, with_prefix, seed):
         model, prompts = INVARIANCE_MODELS[name]
         rng = np.random.default_rng(seed)
-        cfg = model.config
-        batch = [[CLS_ID] + rng.integers(0, cfg.vocab_size, size=min(n, cfg.max_seq_len) - 1).tolist()
-                 for n in lengths]
         prefix = prefix_kv(model, prompts if with_prefix else None, "passage")
-        assert_batch_invariant(model, prefix, batch)
+        assert_batch_invariant(model, prefix, random_batch(model, lengths, rng))
+
+    @given(
+        name=st.sampled_from(sorted(INVARIANCE_MODELS)),
+        lengths=st.lists(st.integers(1, 64), min_size=1, max_size=6),
+        with_prefix=st.booleans(),
+        pick=st.sampled_from(["first", "scattered", "one", "repeated"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_requested_rows_equal_full_forward(self, name, lengths, with_prefix, pick, seed):
+        # the last layer run on some rows gives those rows' bits of the full forward
+        model, prompts = INVARIANCE_MODELS[name]
+        rng = np.random.default_rng(seed)
+        batch = random_batch(model, lengths, rng)
+        prefix = prefix_kv(model, prompts if with_prefix else None, "query")
+        full, offsets = encode_states(model, batch, prefix=prefix)
+        n, one = offsets[-1], int(rng.integers(offsets[-1]))
+        rows = {"first": offsets[:-1], "one": [one], "repeated": [one, int(rng.integers(n)), one],
+                "scattered": rng.permutation(n)[:rng.integers(1, n + 1)].tolist()}[pick]
+        states, _ = encode_states(model, batch, prefix=prefix, rows=rows)
+        np.testing.assert_array_equal(states.data, full.data[rows])
 
     @pytest.mark.parametrize("name", sorted(INVARIANCE_MODELS))
     @pytest.mark.parametrize("with_prefix", [False, True])

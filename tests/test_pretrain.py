@@ -94,6 +94,12 @@ class TestPreparedCorpus:
             "reasons": {"too_few_units": 1},
         }
 
+    def test_empty_passage_skipped_not_fatal(self):
+        corpus = {"a": "One two three. Four five six.", "b": "   "}
+        prepared = PreparedCorpus(corpus, PretrainUnitConfig())
+        assert [pid for pid, _ in prepared.passages] == ["a"]
+        assert prepared.skip_report == {"skipped_passages": 1, "reasons": {"too_few_units": 1}}
+
     def test_dict_corpus_equals_its_items(self):
         corpus = dict(topic_corpus(6))
         corpus["p_short"] = "Only one sentence in this passage."
