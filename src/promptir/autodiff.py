@@ -6,6 +6,9 @@ small transformer encoder and its retrieval losses need; linear fuses a
 matmul and its row-bias add into one op; cross_entropy_rows takes optional
 row weights. Tensors default to float64 so central finite differences are
 a meaningful oracle for every gradient rule.
+
+A graph backpropagates once: backward frees it as it walks it, and only
+the leaves (tensors no op produced) keep their gradients.
 """
 
 from __future__ import annotations
@@ -273,7 +276,8 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
             if need_v:
                 dv = probs.transpose(0, 2, 1) @ gh
                 gpv += dv[:, :l]
-                gv[lo:hi] = merge(dv[:, l:])
+                if v.requires_grad:
+                    gv[lo:hi] = merge(dv[:, l:])
             if q.requires_grad or need_k:
                 dp = gh @ vh.transpose(0, 2, 1)
                 ds = probs * (dp - np.add.reduce(dp * probs, axis=-1, keepdims=True)) * c
@@ -282,7 +286,8 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
                 if need_k:
                     dk = ds.transpose(0, 2, 1) @ qh
                     gpk += dk[:, :l]
-                    gk[lo:hi] = merge(dk[:, l:])
+                    if k.requires_grad:
+                        gk[lo:hi] = merge(dk[:, l:])
         # _accum skips frozen operands, whose buffers above were never filled
         for t, gt in zip(parents, (gq, gk, gv, merge(gpk), merge(gpv))):
             _accum(t, gt)
@@ -375,7 +380,8 @@ def embedding_gather(table, ids):
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError("embedding_gather", table.shape, idx.shape)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+    # viewed as uint64 a negative id is huge, so one reduction checks both ends
+    if idx.size and np.maximum.reduce(idx.view(np.uint64)) >= table.shape[0]:
         raise ValueError(
             f"embedding_gather: index out of range for table with "
             f"{table.shape[0]} rows"
@@ -458,11 +464,19 @@ def cross_entropy_rows(logits, targets, weights=None):
 # ---------------------------------------------------------------------------
 
 
+def _released(g):
+    raise RuntimeError("backward: this graph was released by an earlier backward")
+
+
 def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
-    Every requires_grad tensor reachable from loss ends up with its
-    gradient accumulated; frozen tensors are never touched.
+    Every requires_grad leaf reachable from loss ends up with its gradient
+    accumulated; frozen tensors are never touched. A graph backpropagates
+    once: the sweep frees each interior node's gradient, saved arrays and
+    parent links as it goes, so its peak memory stays near the forward
+    tape. Every node keeps .data and leaves keep .grad; a later backward
+    through a released node raises RuntimeError.
     """
     if loss.shape != ():
         raise ShapeError("backward", loss.shape)
@@ -487,9 +501,14 @@ def backward(loss):
             stack.pop()
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
-        if node._grad_fn is not None and node.grad is not None:
-            node._grad_fn(node.grad)
+    while order:
+        node = order.pop()
+        if node._grad_fn is not None:
+            if node.grad is not None:
+                node._grad_fn(node.grad)
+            # release the interior node: its saved arrays and parents go as
+            # soon as no node still to run needs them
+            node.grad, node._parents, node._grad_fn = None, (), _released
 
 
 # ---------------------------------------------------------------------------

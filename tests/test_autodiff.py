@@ -93,6 +93,25 @@ class TestBackwardFixtures:
         backward(twice)
         np.testing.assert_allclose(x.grad, 2 * single, rtol=1e-15)
 
+    def test_second_backward_raises(self):
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        loss = ad.sum_all(ad.mul(x, x))
+        backward(loss)
+        with pytest.raises(RuntimeError, match="released by an earlier backward"):
+            backward(loss)
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_release_keeps_data_and_leaf_grads(self):
+        # interior nodes drop their gradient and tape; values and leaf gradients stay
+        x = Tensor([1.0, 2.0], requires_grad=True)
+        y = ad.mul(x, x)
+        loss = ad.sum_all(y)
+        backward(loss)
+        assert y.grad is None and y._parents == () and loss.grad is None
+        np.testing.assert_array_equal(y.data, [1.0, 4.0])
+        assert loss.item() == 5.0
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
     def test_determinism(self):
         def run():
             rng = np.random.default_rng(7)
@@ -184,6 +203,17 @@ class TestOpGradChecks:
         ids = [0, 2, 2, 5]  # repeated row exercises scatter-add
         w = Tensor(rng.normal(size=(4, 3)))
         self.check(lambda: ad.sum_all(ad.mul(ad.embedding_gather(table, ids), w)), [table])
+
+    @pytest.mark.parametrize("ids", [[-1], [6], [0, 6, 2], [3, -2, 5]],
+                             ids=["negative", "row_count", "mixed_high", "mixed_negative"])
+    def test_embedding_gather_out_of_range(self, ids):
+        table = Tensor(np.zeros((6, 3)))
+        with pytest.raises(ValueError, match="index out of range for table with 6 rows"):
+            ad.embedding_gather(table, ids)
+
+    def test_embedding_gather_empty(self):
+        table = Tensor(np.zeros((6, 3)))
+        assert ad.embedding_gather(table, []).shape == (0, 3)
 
     def test_slice(self):
         rng = np.random.default_rng(19)
@@ -296,6 +326,21 @@ class TestAttention:
         assert q.grad is None and k.grad is None and v.grad is None
         assert prefix[0].grad is not None and np.any(prefix[0].grad != 0)
         assert prefix[1].grad is not None and np.any(prefix[1].grad != 0)
+
+    @pytest.mark.parametrize("frozen", ["k", "v", "kv"])
+    def test_frozen_key_or_value_keeps_other_grads_bitwise(self, frozen):
+        # the trainable operands get the bits they get with nothing frozen
+        grads = []
+        for skip in ("", frozen):
+            q, k, v, prefix, w = self.inputs(33, 3)
+            k.requires_grad, v.requires_grad = "k" not in skip, "v" not in skip
+            backward(ad.sum_all(ad.mul(ad.attention(q, k, v, self.OFFSETS, 2, prefix), w)))
+            grads.append([t.grad for t in (q, k, v) + prefix])
+        for name, got, want in zip(("q", "k", "v", "pk", "pv"), *reversed(grads)):
+            if name in frozen:
+                assert got is None
+            else:
+                np.testing.assert_array_equal(got, want)
 
     def test_bad_offsets_and_shapes_rejected(self):
         q, k, v, prefix, _ = self.inputs(34, 3)

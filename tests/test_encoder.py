@@ -4,6 +4,7 @@ parameter counts, and checkpoint round-trips."""
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,43 @@ class TestPackedForward:
     def test_empty_batch_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="no sequences"):
             encode_states(tiny_model, [])
+
+
+class TestBackwardRelease:
+    """backward frees the graph as it walks it."""
+
+    def _batch(self, model, rng, count=40):
+        seqs = random_batch(model, rng.integers(10, 31, size=count), rng)
+        return seqs, Tensor(rng.normal(size=(count, model.config.hidden_size)))
+
+    def test_loss_on_released_prefix_raises(self, tiny_model, tiny_prompts):
+        # two losses sharing one prefix cannot both backpropagate
+        tiny_model.set_trainable(False)
+        seqs, w = self._batch(tiny_model, np.random.default_rng(8), 3)
+        prefix = prefix_kv(tiny_model, tiny_prompts, "query")
+        backward(ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w)))
+        second = ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w))
+        with pytest.raises(RuntimeError, match="released by an earlier backward"):
+            backward(second)
+
+    def test_backward_peak_is_a_fraction_of_the_tape(self, tiny_model, tiny_prompts):
+        # without the release, backward holds every interior gradient and
+        # peaks at about half the forward tape above its start
+        tiny_model.set_trainable(False)
+        seqs, w = self._batch(tiny_model, np.random.default_rng(9))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            prefix = prefix_kv(tiny_model, tiny_prompts, "query")
+            loss = ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(p.grad is not None for p in tiny_prompts.parameters())
+        assert (peak - start) / (start - base) < 0.35
 
 
 class TestMlm:
