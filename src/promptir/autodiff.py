@@ -7,8 +7,14 @@ matmul and its row-bias add into one op; cross_entropy_rows takes optional
 row weights. Tensors default to float64 so central finite differences are
 a meaningful oracle for every gradient rule.
 
-A graph backpropagates once: backward frees it as it walks it, and only
-the leaves (tensors no op produced) keep their gradients.
+The tape links entries, not tensors. A leaf (a tensor no op produced) is
+its own entry; an op result that needs a gradient gets one with its
+gradient, its operands' entries, its closure and its shape, but no array.
+Each closure keeps only the arrays its backward reads, so a result keeps
+.data only while its caller holds it. An op whose operands need no
+gradient returns a tensor with no entry, and builds no closure. A graph
+backpropagates once: backward frees it as it walks it, and only the
+leaves keep their gradients.
 """
 
 from __future__ import annotations
@@ -55,21 +61,23 @@ class MissingGradientError(RuntimeError):
 
 
 class Tensor:
-    """Dense float64 array plus an optional gradient tape entry.
+    """Dense float64 array; a leaf with requires_grad=True is its own tape entry.
 
-    Tensors with requires_grad=False never allocate a .grad and never hold
-    references into the graph, so frozen model weights are plain arrays
-    that are safe to share read-only across threads.
+    An op result that needs a gradient points to its entry (_entry), and
+    the tape never holds the result: its .data lives while the caller
+    holds it, its .grad stays None. Tensors with requires_grad=False hold
+    no .grad and no references into the graph, so frozen model weights
+    are plain arrays, safe to share read-only across threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn")
+    __slots__ = ("data", "requires_grad", "grad", "_entry")
+    _parents, _grad_fn = (), None  # as a tape entry, a leaf has no parents
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self._parents = ()
-        self._grad_fn = None
+        self._entry = None
 
     @property
     def shape(self):
@@ -94,35 +102,45 @@ class Tensor:
         return f"Tensor(shape={self.shape}{flag})"
 
 
-def _node(data, parents, grad_fn):
-    """Build an op result. The tape entry is dropped if no parent needs it."""
+class _Entry:
+    """An op result's tape entry: gradient, parent entries, closure, shape; no array."""
+
+    __slots__ = ("grad", "_parents", "_grad_fn", "shape")
+
+
+def _tapes(*operands):
+    """The operands' tape entries, None for each that needs no gradient;
+    just None when none needs one: the op then builds no closure."""
+    for t in operands:  # a plain loop: any() over a generator costs more per op
+        if t.requires_grad:
+            return tuple([(u._entry or u) if u.requires_grad else None for u in operands])
+    return None
+
+
+def _node(data, tapes=None, grad_fn=None):
+    """An op result; given tapes, its new entry links the non-None ones to grad_fn."""
     out = Tensor.__new__(Tensor)
-    out.data = data
-    out.grad = None
-    for p in parents:  # a plain loop: any() over a generator costs more per op
-        if p.requires_grad:
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._grad_fn = grad_fn
-            return out
-    out.requires_grad = False
-    out._parents = ()
-    out._grad_fn = None
+    out.data, out.requires_grad, out.grad, out._entry = data, tapes is not None, None, None
+    if tapes is not None:
+        out._entry = entry = _Entry()
+        entry.grad, entry._grad_fn, entry.shape = None, grad_fn, data.shape
+        entry._parents = tuple([e for e in tapes if e is not None])
     return out
 
 
-def _accum(t, g):
-    """Accumulate gradient g into tensor t (zero-initialized, additive).
+def _accum(e, g, fresh=True):
+    """Accumulate gradient g into tape entry e (zero-initialized, additive).
 
-    The first gradient is g + 0.0 into a fresh array: the bits of zeros
-    plus g (-0.0 becomes +0.0), without zeroing or calloc'ing it first.
+    The first gradient is g + 0.0, the bits of zeros plus g (-0.0 becomes
+    +0.0). A fresh g, computed for e alone, becomes e's gradient in place;
+    one another entry may read (fresh=False) or a numpy scalar is copied.
     """
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    if e.grad is not None:
+        e.grad += g
+    elif fresh and type(g) is np.ndarray:
+        e.grad = np.add(g, 0.0, out=g)
     else:
-        t.grad += g
+        e.grad = np.add(g, 0.0, out=np.empty(e.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -143,14 +161,19 @@ def matmul(a, b):
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeError("matmul", a.shape, b.shape)
     out_data = _product(a.data, b.data)
+    if (tapes := _tapes(a, b)) is None:
+        return _node(out_data)
+    ea, eb = tapes
+    # an operand's array is kept only to form the other operand's gradient
+    av, bv = a.data if eb is not None else None, b.data if ea is not None else None
 
     def grad_fn(g):
-        if a.requires_grad:
-            _accum(a, g @ b.data.T)
-        if b.requires_grad:
-            _accum(b, a.data.T @ g)
+        if ea is not None:
+            _accum(ea, g @ bv.T)
+        if eb is not None:
+            _accum(eb, av.T @ g)
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def linear(x, w, b):
@@ -160,27 +183,35 @@ def linear(x, w, b):
         raise ShapeError("linear", xs, ws, b.data.shape)
     out_data = _product(x.data, w.data)
     out_data += b.data
+    if (tapes := _tapes(x, w, b)) is None:
+        return _node(out_data)
+    ex, ew, eb = tapes
+    # as in matmul: a frozen-weight projection keeps only its weight
+    xv, wv = x.data if ew is not None else None, w.data if ex is not None else None
 
     def grad_fn(g):
-        if x.requires_grad:
-            _accum(x, g @ w.data.T)
-        if w.requires_grad:
-            _accum(w, x.data.T @ g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0))
+        if ex is not None:
+            _accum(ex, g @ wv.T)
+        if ew is not None:
+            _accum(ew, xv.T @ g)
+        if eb is not None:
+            _accum(eb, g.sum(axis=0))
 
-    return _node(out_data, (x, w, b), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def transpose(a):
     if a.ndim != 2:
         raise ShapeError("transpose", a.shape)
     out_data = a.data.T.copy()
+    if (tapes := _tapes(a)) is None:
+        return _node(out_data)
+    (ea,) = tapes
 
     def grad_fn(g):
-        _accum(a, g.T)
+        _accum(ea, g.T, fresh=False)
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def add(a, b):
@@ -192,13 +223,17 @@ def add(a, b):
     else:
         raise ShapeError("add", a.shape, b.shape)
     out_data = a.data + b.data
+    if (tapes := _tapes(a, b)) is None:
+        return _node(out_data)
+    ea, eb = tapes
 
     def grad_fn(g):
-        _accum(a, g)
-        if b.requires_grad:
-            _accum(b, g.sum(axis=0) if broadcast else g)
+        if ea is not None:
+            _accum(ea, g, fresh=False)
+        if eb is not None:
+            _accum(eb, g.sum(axis=0) if broadcast else g, fresh=broadcast)
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def mul(a, b):
@@ -206,14 +241,18 @@ def mul(a, b):
     if a.shape != b.shape:
         raise ShapeError("mul", a.shape, b.shape)
     out_data = a.data * b.data
+    if (tapes := _tapes(a, b)) is None:
+        return _node(out_data)
+    ea, eb = tapes
+    av, bv = a.data if eb is not None else None, b.data if ea is not None else None
 
     def grad_fn(g):
-        if a.requires_grad:
-            _accum(a, g * b.data)
-        if b.requires_grad:
-            _accum(b, g * a.data)
+        if ea is not None:
+            _accum(ea, g * bv)
+        if eb is not None:
+            _accum(eb, g * av)
 
-    return _node(out_data, (a, b), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def attention(q, k, v, offsets, num_heads, prefix=None):
@@ -248,9 +287,9 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
             raise ShapeError("attention", shape, pk.data.shape, pv.data.shape)
         parents, pkh, pvh = (q, k, v, pk, pv), heads(pk.data), heads(pv.data)
     l = pkh.shape[1]
-    keep = any(t.requires_grad for t in parents)
+    tapes = _tapes(*parents)
     out_data = np.empty_like(q.data)
-    saved = []  # per sequence: q, k, v heads and the attention weights
+    saved = []  # per sequence: q heads, K/V copies and the attention weights
     for lo, hi in spans:
         qh = heads(q.data[lo:hi])
         kh = np.concatenate([pkh, heads(k.data[lo:hi])], axis=1)
@@ -263,36 +302,39 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
         np.exp(probs, out=probs)
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         np.matmul(probs, vh, out=heads(out_data[lo:hi]))  # gemm writes the rows directly
-        if keep:
+        if tapes is not None:
             saved.append((qh, kh, vh, probs))
+    if tapes is None:
+        return _node(out_data)
+    eq, ek, ev, epk, epv = (*tapes, None, None)[:5]
+    need_k, need_v = ek is not None or epk is not None, ev is not None or epv is not None
 
     def grad_fn(g):
-        need_k = k.requires_grad or (prefix is not None and pk.requires_grad)
-        need_v = v.requires_grad or (prefix is not None and pv.requires_grad)
-        gq, gk, gv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        gq, gk, gv = np.empty(shape), np.empty(shape), np.empty(shape)
         gpk, gpv = np.zeros((h, l, dh)), np.zeros((h, l, dh))
         for (lo, hi), (qh, kh, vh, probs) in zip(spans, saved):
             gh = heads(g[lo:hi])
             if need_v:
                 dv = probs.transpose(0, 2, 1) @ gh
                 gpv += dv[:, :l]
-                if v.requires_grad:
+                if ev is not None:
                     gv[lo:hi] = merge(dv[:, l:])
-            if q.requires_grad or need_k:
+            if eq is not None or need_k:
                 dp = gh @ vh.transpose(0, 2, 1)
                 ds = probs * (dp - np.add.reduce(dp * probs, axis=-1, keepdims=True)) * c
-                if q.requires_grad:
+                if eq is not None:
                     gq[lo:hi] = merge(ds @ kh)
                 if need_k:
                     dk = ds.transpose(0, 2, 1) @ qh
                     gpk += dk[:, :l]
-                    if k.requires_grad:
+                    if ek is not None:
                         gk[lo:hi] = merge(dk[:, l:])
-        # _accum skips frozen operands, whose buffers above were never filled
-        for t, gt in zip(parents, (gq, gk, gv, merge(gpk), merge(gpv))):
-            _accum(t, gt)
+        # frozen operands' buffers above were never filled
+        for e, ge in zip(tapes, (gq, gk, gv, merge(gpk), merge(gpv))):
+            if e is not None:
+                _accum(e, ge)
 
-    return _node(out_data, parents, grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def layer_norm(x, gain, bias, eps=1e-5, residual=None):
@@ -313,22 +355,26 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     xhat *= inv_std
     out_data = xhat * gain.data
     out_data += bias.data
+    if (tapes := _tapes(*inputs, gain, bias)) is None:
+        return _node(out_data)
+    *ins, eg, eb = tapes
+    ins, gv = [e for e in ins if e is not None], gain.data
 
     def grad_fn(g):
-        if any(t.requires_grad for t in inputs):
-            gx = g * gain.data
+        if ins:
+            gx = g * gv
             mx = np.add.reduce(gx * xhat, axis=-1, keepdims=True) / n
             gx -= np.add.reduce(gx, axis=-1, keepdims=True) / n
             gx -= xhat * mx
             gx *= inv_std
-            for t in inputs:
-                _accum(t, gx)
-        if gain.requires_grad:
-            _accum(gain, (g * xhat).sum(axis=0))
-        if bias.requires_grad:
-            _accum(bias, g.sum(axis=0))
+            for e in ins:  # one gx for two inputs, so each copies it
+                _accum(e, gx, fresh=len(ins) == 1)
+        if eg is not None:
+            _accum(eg, (g * xhat).sum(axis=0))
+        if eb is not None:
+            _accum(eb, g.sum(axis=0))
 
-    return _node(out_data, inputs + (gain, bias), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -349,28 +395,33 @@ def gelu(a):
     out_data = 1.0 + t
     out_data *= x
     out_data *= 0.5
+    if (tapes := _tapes(a)) is None:
+        return _node(out_data)
+    (ea,) = tapes
+    # t becomes the derivative, the one array backward reads: in row blocks,
+    # so their temporaries stay small; elementwise, so g * t is bitwise
+    for lo in range(0, len(x), _GELU_BLOCK):
+        rows = slice(lo, lo + _GELU_BLOCK)
+        xb, tb = x[rows], t[rows]
+        d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
+        t[rows] = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * d_inner
 
     def grad_fn(g):
-        # in row blocks, so its temporaries stay small; elementwise, so bitwise
-        ga = np.empty_like(x)
-        for lo in range(0, len(x), _GELU_BLOCK):
-            rows = slice(lo, lo + _GELU_BLOCK)
-            xb, tb = x[rows], t[rows]
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (xb * xb))
-            deriv = 0.5 * (1.0 + tb) + 0.5 * xb * (1.0 - tb * tb) * d_inner
-            np.multiply(g[rows], deriv, out=ga[rows])
-        _accum(a, ga)
+        _accum(ea, g * t)
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def tanh(a):
     out_data = np.tanh(a.data)
+    if (tapes := _tapes(a)) is None:
+        return _node(out_data)
+    (ea,) = tapes
 
     def grad_fn(g):
-        _accum(a, g * (1.0 - out_data * out_data))
+        _accum(ea, g * (1.0 - out_data * out_data))
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def embedding_gather(table, ids):
@@ -387,15 +438,16 @@ def embedding_gather(table, ids):
             f"{table.shape[0]} rows"
         )
     out_data = table.data[idx]
+    if (tapes := _tapes(table)) is None:
+        return _node(out_data)
+    (et,) = tapes
 
     def grad_fn(g):
-        if not table.requires_grad:
-            return
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(et.shape)
         np.add.at(gt, idx, g)
-        _accum(table, gt)
+        _accum(et, gt)
 
-    return _node(out_data, (table,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def slice_(a, axis, start, stop):
@@ -406,27 +458,31 @@ def slice_(a, axis, start, stop):
         out_data = a.data[start:stop].copy()
     else:
         out_data = a.data[:, start:stop].copy()
+    if (tapes := _tapes(a)) is None:
+        return _node(out_data)
+    (ea,) = tapes
 
     def grad_fn(g):
-        if not a.requires_grad:
-            return
-        full = np.zeros_like(a.data)
+        full = np.zeros(ea.shape)
         if axis == 0:
             full[start:stop] = g
         else:
             full[:, start:stop] = g
-        _accum(a, full)
+        _accum(ea, full)
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def sum_all(a):
     out_data = np.asarray(a.data.sum())
+    if (tapes := _tapes(a)) is None:
+        return _node(out_data)
+    (ea,) = tapes
 
     def grad_fn(g):
-        _accum(a, np.full_like(a.data, float(g)))
+        _accum(ea, np.full(ea.shape, float(g)))
 
-    return _node(out_data, (a,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 def cross_entropy_rows(logits, targets, weights=None):
@@ -448,15 +504,18 @@ def cross_entropy_rows(logits, targets, weights=None):
     lse = np.log(np.exp(z - zmax).sum(axis=1, keepdims=True)) + zmax
     losses = lse[:, 0] - z[np.arange(n), tgt]
     out_data = np.asarray(losses.mean() if weights is None else losses @ weights)
+    if (tapes := _tapes(logits)) is None:
+        return _node(out_data)
+    (el,) = tapes
     probs = np.exp(z - lse)
 
     def grad_fn(g):
         gz = probs.copy()
         gz[np.arange(n), tgt] -= 1.0
         scale = float(g) / n if weights is None else float(g) * np.asarray(weights)[:, None]
-        _accum(logits, gz * scale)
+        _accum(el, gz * scale)
 
-    return _node(out_data, (logits,), grad_fn)
+    return _node(out_data, tapes, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -472,42 +531,43 @@ def backward(loss):
     """Reverse-mode sweep from a scalar loss.
 
     Every requires_grad leaf reachable from loss ends up with its gradient
-    accumulated; frozen tensors are never touched. A graph backpropagates
-    once: the sweep frees each interior node's gradient, saved arrays and
-    parent links as it goes, so its peak memory stays near the forward
-    tape. Every node keeps .data and leaves keep .grad; a later backward
-    through a released node raises RuntimeError.
+    accumulated; frozen tensors are never touched. The sweep walks tape
+    entries, which hold gradients, closures and parent links but no array;
+    the arrays it reads are the ones each op's closure kept. A graph
+    backpropagates once: the sweep frees each interior entry's gradient,
+    closure and parent links as it goes, so its peak memory stays near the
+    forward tape. Leaves keep .grad, and a later backward through a
+    released entry raises RuntimeError.
     """
     if loss.shape != ():
         raise ShapeError("backward", loss.shape)
     if not loss.requires_grad:
         return
 
-    # iterative post-order DFS over nodes that participate in the tape
+    # iterative post-order DFS over the entries; each parent needs a gradient
+    root = loss._entry or loss
     order = []
-    visited = {id(loss)}
-    stack = [(loss, iter(loss._parents))]
+    visited = {id(root)}
+    stack = [(root, iter(root._parents))]
     while stack:
         node, it = stack[-1]
-        pushed = False
         for p in it:
-            if p.requires_grad and id(p) not in visited:
+            if id(p) not in visited:
                 visited.add(id(p))
                 stack.append((p, iter(p._parents)))
-                pushed = True
                 break
-        if not pushed:
+        else:
             order.append(node)
             stack.pop()
 
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones(())
     while order:
         node = order.pop()
         if node._grad_fn is not None:
             if node.grad is not None:
                 node._grad_fn(node.grad)
-            # release the interior node: its saved arrays and parents go as
-            # soon as no node still to run needs them
+            # release the entry: the arrays its closure kept and its parents
+            # go as soon as no entry still to run needs them
             node.grad, node._parents, node._grad_fn = None, (), _released
 
 

@@ -3,6 +3,7 @@ the autodiff engine. Every registered op gets a central-difference check on
 randomized small tensors; analytic fixtures are asserted exactly."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -102,12 +103,14 @@ class TestBackwardFixtures:
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
     def test_release_keeps_data_and_leaf_grads(self):
-        # interior nodes drop their gradient and tape; values and leaf gradients stay
+        # interior entries drop their gradient and tape; values and leaf gradients stay
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = ad.mul(x, x)
         loss = ad.sum_all(y)
         backward(loss)
-        assert y.grad is None and y._parents == () and loss.grad is None
+        entry = y._entry
+        assert entry.grad is None and entry._parents == () and entry._grad_fn is ad._released
+        assert y.grad is None and loss.grad is None
         np.testing.assert_array_equal(y.data, [1.0, 4.0])
         assert loss.item() == 5.0
         np.testing.assert_array_equal(x.grad, [2.0, 4.0])
@@ -399,6 +402,82 @@ def old_layer_norm(x, gain, bias, g, eps=1e-5):
     mx = (d_xhat * xhat).mean(axis=-1, keepdims=True)
     return (xhat * gain + bias, inv_std * (d_xhat - m - xhat * mx), (g * xhat).sum(axis=0),
             g.sum(axis=0))
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """An op keeps an operand's array only if its own backward reads it."""
+
+    # name: (interior operand shapes, build(make, *operands), whether each
+    # operand's array must outlive the operand; None where either is fine)
+    CASES = {
+        "linear_frozen_weight": ([(5, 4)], lambda make, x: ad.linear(x, make(4, 3), make(3)),
+                                 [False]),
+        "linear_trainable_weight": ([(5, 4)], lambda make, x: ad.linear(
+            x, make(4, 3, trainable=True), make(3)), [True]),
+        "gelu": ([(5, 4)], lambda make, x: ad.gelu(x), [False]),
+        "layer_norm": ([(5, 4), (5, 4)], lambda make, x, r: ad.layer_norm(
+            x, make(4), make(4), residual=r), [False, False]),
+        "attention": ([(7, 6)] * 3, lambda make, q, k, v: ad.attention(
+            q, k, v, [0, 3, 7], 2, (make(2, 6, trainable=True), make(2, 6))), [None, False, False]),
+    }
+
+    def run(self, name, keep):
+        """(which operand arrays are alive once the operands are dropped, the
+        gradients of every trainable tensor after backward)."""
+        shapes, build, _ = self.CASES[name]
+        rng = np.random.default_rng(42)
+        made = []
+
+        def make(*shape, trainable=False):
+            made.append(rand_tensor(rng, *shape, requires_grad=trainable))
+            return made[-1]
+
+        leaves = [make(*shape, trainable=True) for shape in shapes]
+        # interior operands: add keeps no array of its own
+        operands = [ad.add(t, Tensor(np.zeros(t.shape))) for t in leaves]
+        refs = [weakref.ref(t.data) for t in operands]
+        out = build(make, *operands)
+        kept = operands if keep else None  # with keep, held until backward has run
+        del operands
+        alive = [ref() is not None for ref in refs]
+        backward(ad.sum_all(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
+        return alive, [t.grad for t in made if t.requires_grad]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_freed_operands_and_bitwise_grads(self, name):
+        alive, grads = self.run(name, keep=False)
+        kept_alive, kept_grads = self.run(name, keep=True)
+        assert all(kept_alive)
+        for got, want in zip(alive, self.CASES[name][2]):
+            assert want is None or got == want
+        assert all(g is not None for g in grads)
+        for got, want in zip(grads, kept_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_frozen_operands_give_tapeless_results(self):
+        rng = np.random.default_rng(43)
+        x, w, vec = Tensor(rng.normal(size=(7, 6))), Tensor(rng.normal(size=(6, 6))), Tensor(np.ones(6))
+        ops = {
+            "matmul": lambda: ad.matmul(x, w),
+            "linear": lambda: ad.linear(x, w, vec),
+            "transpose": lambda: ad.transpose(x),
+            "add": lambda: ad.add(x, vec),
+            "mul": lambda: ad.mul(x, x),
+            "attention": lambda: ad.attention(x, x, x, [0, 3, 7], 2, (w, w)),
+            "layer_norm": lambda: ad.layer_norm(x, vec, vec, residual=x),
+            "gelu": lambda: ad.gelu(x),
+            "tanh": lambda: ad.tanh(x),
+            "embedding_gather": lambda: ad.embedding_gather(x, [0, 2]),
+            "slice_": lambda: ad.slice_(x, 1, 0, 2),
+            "sum_all": lambda: ad.sum_all(x),
+            "cross_entropy_rows": lambda: ad.cross_entropy_rows(x, [0] * 7),
+        }
+        public = {name for name in ad.__all__ if callable(getattr(ad, name))
+                  and not isinstance(getattr(ad, name), type)} - {"backward", "grad_check"}
+        assert set(ops) == public
+        for name, op in ops.items():
+            out = op()
+            assert not out.requires_grad and out._entry is None, name
 
 
 class TestBitwiseRewrites:

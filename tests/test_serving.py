@@ -216,11 +216,11 @@ def test_registry_keeps_only_prefixes(served, ps_name):
     entry = srv.server.service._registry[ids[ps_name]]
     assert sorted(entry) == ["passage", "query"]
     assert (entry["query"] is entry["passage"]) == (ps_name == "shared")
-    # pairs of tapeless tensors, so no PromptSet is reachable from the entry
+    # pairs of tensors with no tape entry, so no PromptSet is reachable from the entry
     for prefix in entry.values():
         for pair in prefix:
             assert [type(t) for t in pair] == [Tensor, Tensor]
-            assert all(t._parents == () and not t.requires_grad for t in pair)
+            assert all(t._entry is None and not t.requires_grad for t in pair)
 
 
 @pytest.mark.parametrize("precision, formula", [
