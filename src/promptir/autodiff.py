@@ -288,8 +288,11 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
         parents, pkh, pvh = (q, k, v, pk, pv), heads(pk.data), heads(pv.data)
     l = pkh.shape[1]
     tapes = _tapes(*parents)
+    if tapes is not None:
+        eq, ek, ev, epk, epv = (*tapes, None, None)[:5]
+        need_k, need_v = ek is not None or epk is not None, ev is not None or epv is not None
     out_data = np.empty_like(q.data)
-    saved = []  # per sequence: q heads, K/V copies and the attention weights
+    saved = []  # per sequence: q heads and K copy where backward reads them, V copy, weights
     for lo, hi in spans:
         qh = heads(q.data[lo:hi])
         kh = np.concatenate([pkh, heads(k.data[lo:hi])], axis=1)
@@ -303,11 +306,9 @@ def attention(q, k, v, offsets, num_heads, prefix=None):
         probs /= np.add.reduce(probs, axis=-1, keepdims=True)
         np.matmul(probs, vh, out=heads(out_data[lo:hi]))  # gemm writes the rows directly
         if tapes is not None:
-            saved.append((qh, kh, vh, probs))
+            saved.append((qh if need_k else None, kh if eq is not None else None, vh, probs))
     if tapes is None:
         return _node(out_data)
-    eq, ek, ev, epk, epv = (*tapes, None, None)[:5]
-    need_k, need_v = ek is not None or epk is not None, ev is not None or epv is not None
 
     def grad_fn(g):
         gq, gk, gv = np.empty(shape), np.empty(shape), np.empty(shape)

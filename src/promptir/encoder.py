@@ -71,11 +71,13 @@ class EncoderConfig:
     def __post_init__(self):
         if self.num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        if self.hidden_size % self.num_heads != 0:
-            raise ValueError("hidden_size must be divisible by num_heads")
-        for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size", "max_seq_len"):
+        for name in ("hidden_size", "num_heads", "ffn_size", "vocab_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.hidden_size % self.num_heads != 0:
+            raise ValueError("hidden_size must be divisible by num_heads")
+        if self.max_seq_len < 2:  # every encoded text holds [CLS] and [SEP]
+            raise ValueError("max_seq_len must be >= 2")
         if self.prompt_length < 0:
             raise ValueError("prompt_length must be >= 0")
         if self.reparam_mode not in ("direct_embedding", "mlp"):
@@ -254,28 +256,14 @@ def pooled(model, sequences, prefix=None):
     return encode_states(model, sequences, prefix, packed_offsets(sequences)[:-1])[0]
 
 
-def inference_prefix(model, prompts, role):
-    """prefix_kv detached from the prompt parameters: with a frozen backbone
-    a forward over it records no tape, whatever the prompts' flags. It is a
-    snapshot; prompts trained afterwards need a new one."""
-    prefix = prefix_kv(model, prompts, role)
-    return None if prefix is None else [(Tensor(k.data), Tensor(v.data)) for k, v in prefix]
-
-
-def encode_batch(model, prompts, sequences, role="query"):
-    """Inference encode of a batch: (n, d) first-token vectors as ndarray.
-
-    prompts is a prompt set, projected here for role, or None or a list
-    that inference_prefix already made, used as it is.
-    """
-    if not (prompts is None or isinstance(prompts, list)):
-        prompts = inference_prefix(model, prompts, role)
-    return pooled(model, sequences, prompts).data
-
-
 def encode(model, prompts, token_ids, role="query"):
-    """Inference encode: the d-dimensional first-token vector as ndarray."""
-    return encode_batch(model, prompts, [token_ids], role=role)[0]
+    """Inference encode: the d-dimensional first-token vector as ndarray.
+
+    prompts is a prompt set, projected here for role (a frozen set records
+    no tape), or None or a prefix_kv prefix, used as it is.
+    """
+    prefix = prompts if isinstance(prompts, list) else prefix_kv(model, prompts, role)
+    return pooled(model, [token_ids], prefix).data[0]
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +300,21 @@ def apply_mlm_masking(ids, vocab_size, rng, rate=0.15):
     return MaskedSequence(out, positions, labels)
 
 
-def mlm_logits(model, states, positions):
-    """Tied-head logits at the given row positions of a states tensor."""
-    rows = ad.embedding_gather(states, positions)
+def mlm_logits(model, rows):
+    """Tied-head logits of hidden-state rows."""
     return ad.linear(rows, ad.transpose(model.params["tok_emb"]), model.params["mlm_bias"])
 
 
-def mlm_loss(model, batch, prompts=None, role="query"):
+def mlm_loss(model, batch, prompts=None):
     """Mean cross-entropy over all masked positions in the batch."""
     seqs = [seq for seq in batch if seq.positions]
     if not seqs:
         raise ValueError("mlm_loss: batch contains no masked positions")
     ids = [seq.ids for seq in seqs]
     rows = [start + pos for start, seq in zip(packed_offsets(ids), seqs) for pos in seq.positions]
-    states, _ = encode_states(model, ids, prefix_kv(model, prompts, role), rows)
+    states, _ = encode_states(model, ids, prefix_kv(model, prompts, "query"), rows)
     labels = [label for seq in seqs for label in seq.labels]
-    return ad.cross_entropy_rows(mlm_logits(model, states, np.arange(len(rows))), labels)
+    return ad.cross_entropy_rows(mlm_logits(model, states), labels)
 
 
 # ---------------------------------------------------------------------------

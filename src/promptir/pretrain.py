@@ -227,7 +227,7 @@ def rip_loss(batch, model, prompts=None):
     l_s = Tensor(0.0)
     if masked:
         counts = np.array([len(seq.positions) for seq in masked])
-        l_s = ad.cross_entropy_rows(mlm_logits(model, states, np.arange(n, len(rows))),
+        l_s = ad.cross_entropy_rows(mlm_logits(model, ad.slice_(states, 0, n, len(rows))),
                                     np.concatenate([seq.labels for seq in masked]),
                                     np.repeat(1.0 / (n * counts), counts))
     combined = ad.add(l_s, l_c)

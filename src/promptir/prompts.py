@@ -1,10 +1,11 @@
-"""Trainable prompt sets: per-layer prefix matrices plus their file format.
+"""Prompt sets: per-layer prefix matrices plus their file format.
 
 A prompt set is the unit of training and of shipping: the only trainable
 parameters during prompt tuning, serialized as a JSON header plus a
-base64 payload of float64 matrices. By default one set of matrices is
-shared by query and passage encoding; a set may instead carry separate
-"query" and "passage" groups.
+base64 payload of float64 matrices. Sets are created and loaded frozen,
+so a forward over one records no tape until training unfreezes it. By
+default one set of matrices is shared by query and passage encoding; a
+set may instead carry separate "query" and "passage" groups.
 
 Two parameterizations: direct_embedding stores the L matrices themselves;
 mlp stores one l x d source matrix and a two-layer MLP (tanh hidden) that
@@ -78,14 +79,14 @@ class PromptSet:
         seed=0,
         init_scale=0.02,
     ):
-        """Randomly initialized prompt set: N(0, init_scale) matrices, zero biases."""
+        """Randomly initialized, frozen prompt set: N(0, init_scale) matrices, zero biases."""
         rng = np.random.default_rng(seed)
         shapes = _group_shapes(reparam_mode, prompt_length, hidden_size, num_layers, mlp_hidden)
         groups = {}
         for role in ["query", "passage"] if separate_roles else ["shared"]:
             groups[role] = {
                 key: Tensor(rng.normal(0.0, init_scale, size=shape) if len(shape) == 2
-                            else np.zeros(shape), requires_grad=True)
+                            else np.zeros(shape))
                 for key, shape in shapes.items()
             }
         return cls(
@@ -135,7 +136,7 @@ class PromptSet:
             raise ValueError(f"prompt set has no group for role {role!r}")
         return role
 
-    def realize(self, role="query"):
+    def realize(self, role):
         """The L realized l x d matrices for a role, as graph tensors.
 
         direct_embedding returns the stored matrices; mlp runs the shared

@@ -8,7 +8,9 @@ the fingerprint of the model that produced it. DenseRetriever is the one
 query path (fingerprint check, tokenize, encode, search) and mining's
 dense retriever. It projects its prompt prefix once, at construction, so a
 call only tokenizes, encodes and searches; the prefix is a snapshot of the
-prompts, and prompts trained afterwards need a new retriever. run_queries
+prompts, and prompts trained afterwards need a new retriever. Build it
+from frozen prompts, as training.fit leaves them: a trainable set's prefix
+carries a tape, which every query through it would extend. run_queries
 encodes its queries in packed forwards with one retriever's prefix, then
 searches them one at a time, so its rankings are bitwise a lone call's.
 
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import encode, encode_batch, inference_prefix
+from .encoder import encode, pooled, prefix_kv
 
 ROW_BUDGET = 256  # token rows per packed forward; see the module docstring
 
@@ -66,12 +68,12 @@ class VectorIndex:
         return len(self.passage_ids)
 
 
-def encode_corpus(corpus, model, prompts, role="passage"):
+def encode_corpus(corpus, model, prompts):
     """Encode every passage in corpus order into a fresh index.
 
-    The prefix is projected once; passages go through packed forwards of
-    up to ROW_BUDGET token rows each, and each row is bitwise what encode()
-    gives for that passage alone (see the encoder module).
+    The passage prefix is projected once; passages go through packed
+    forwards of up to ROW_BUDGET token rows each, and each row is bitwise
+    what encode() gives for that passage alone (see the encoder module).
     """
     items = list(corpus.items()) if isinstance(corpus, dict) else list(corpus)
     seqs = []
@@ -80,7 +82,7 @@ def encode_corpus(corpus, model, prompts, role="passage"):
             seqs.append(model.vocab.encode(text, max_len=model.config.max_seq_len))
         except (AttributeError, TypeError) as exc:
             raise RuntimeError(f"failed to encode passage {pid}: {exc}") from exc
-    vecs = _encode_packed(model, inference_prefix(model, prompts, role), seqs)
+    vecs = _encode_packed(model, prefix_kv(model, prompts, "passage"), seqs)
     return VectorIndex(vecs, [pid for pid, _ in items], model.fingerprint())
 
 
@@ -91,11 +93,11 @@ def _encode_packed(model, prefix, seqs):
     lo = rows = 0
     for hi, ids in enumerate(seqs):
         if hi > lo and rows + len(ids) > ROW_BUDGET:
-            vecs[lo:hi] = encode_batch(model, prefix, seqs[lo:hi])
+            vecs[lo:hi] = pooled(model, seqs[lo:hi], prefix).data
             lo, rows = hi, 0
         rows += len(ids)
     if lo < len(seqs):
-        vecs[lo:] = encode_batch(model, prefix, seqs[lo:])
+        vecs[lo:] = pooled(model, seqs[lo:], prefix).data
     return vecs
 
 
@@ -123,10 +125,10 @@ class DenseRetriever:
     """Exact inner-product retrieval bound to one model/index pair.
 
     Validates the index fingerprint against the model and projects the
-    prompts' prefix once, so per-query calls stay cheap.
+    prompts' query prefix once, so per-query calls stay cheap.
     """
 
-    def __init__(self, index, model, prompts, role="query"):
+    def __init__(self, index, model, prompts):
         fp = model.fingerprint()
         if index.fingerprint != fp:
             raise ValueError(
@@ -135,7 +137,7 @@ class DenseRetriever:
             )
         self.index = index
         self.model = model
-        self.prefix = inference_prefix(model, prompts, role)
+        self.prefix = prefix_kv(model, prompts, "query")
 
     def tokens(self, query_text):
         return self.model.vocab.encode(query_text, max_len=self.model.config.max_seq_len)
@@ -144,9 +146,9 @@ class DenseRetriever:
         return search(self.index, encode(self.model, self.prefix, self.tokens(query_text)), k)
 
 
-def run_queries(index, model, prompts, queries, k, role="query"):
+def run_queries(index, model, prompts, queries, k):
     """Search every (qid, text) query; returns RetrievalResults in order."""
-    retrieve = DenseRetriever(index, model, prompts, role=role)
+    retrieve = DenseRetriever(index, model, prompts)
     queries = list(queries)
     vecs = _encode_packed(model, retrieve.prefix, [retrieve.tokens(text) for _, text in queries])
     return [RetrievalResult(query_id=qid, ranking=search(index, vec, k))

@@ -454,6 +454,37 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         for got, want in zip(grads, kept_grads):
             np.testing.assert_array_equal(got, want)
 
+    def test_attention_keeps_k_copies_only_for_q(self, monkeypatch):
+        # DPT's layer 0: q, k and v come from the frozen embeddings and only
+        # the prefix trains, so backward never reads a sequence's K copy
+        concatenate = np.concatenate
+
+        def run(q_trainable):
+            """(whether each K copy is alive after the call, prefix gradients)."""
+            rng = np.random.default_rng(44)
+            q = rand_tensor(rng, 7, 6, requires_grad=q_trainable)
+            k, v = (rand_tensor(rng, 7, 6, requires_grad=False) for _ in range(2))
+            prefix = (rand_tensor(rng, 2, 6), rand_tensor(rng, 2, 6))
+            copies = []  # (is a K copy, weak reference)
+
+            def recorded(arrays, *args, **kwargs):
+                out = concatenate(arrays, *args, **kwargs)
+                copies.append((np.shares_memory(arrays[0], prefix[0].data), weakref.ref(out)))
+                return out
+
+            monkeypatch.setattr(np, "concatenate", recorded)
+            out = ad.attention(q, k, v, [0, 3, 7], 2, prefix)
+            monkeypatch.undo()
+            alive = [ref() is not None for is_k, ref in copies if is_k]
+            backward(ad.sum_all(ad.mul(out, Tensor(rng.normal(size=out.shape)))))
+            return alive, [t.grad for t in prefix]
+
+        frozen_alive, frozen_grads = run(False)
+        alive, grads = run(True)
+        assert frozen_alive == [False, False] and alive == [True, True]
+        for got, want in zip(frozen_grads, grads):
+            np.testing.assert_array_equal(got, want)
+
     def test_frozen_operands_give_tapeless_results(self):
         rng = np.random.default_rng(43)
         x, w, vec = Tensor(rng.normal(size=(7, 6))), Tensor(rng.normal(size=(6, 6))), Tensor(np.ones(6))

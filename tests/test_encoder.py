@@ -39,7 +39,7 @@ from promptir.prompts import (
 )
 from promptir.pretrain import PretrainBatch, rip_loss
 from promptir.tokenizer import CLS_ID, SEP_ID, Vocabulary
-from promptir.training import TrainConfig, TrainingExample, train_step
+from promptir.training import TrainConfig, TrainingExample, train_step, unfreeze
 from promptir.vector_index import DenseRetriever, encode_corpus
 
 from conftest import BAD_PROMPTSET_HEADERS, TINY_TEXTS, make_tiny_model, make_tiny_prompts
@@ -115,6 +115,7 @@ class TestEncode:
 
     def test_gradient_flows_to_prompts_with_frozen_backbone(self, tiny_model, tiny_prompts):
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         ids = tiny_model.vocab.encode("the cat sat on the mat.")
         vec = encode_tokens(tiny_model, tiny_prompts, ids)
         backward(ad.sum_all(vec))
@@ -132,6 +133,7 @@ class TestEncode:
 
     def test_encoder_grad_check(self, tiny_model, tiny_prompts):
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         ids = tiny_model.vocab.encode("the cat sat on the mat.")
         w = Tensor(np.random.default_rng(3).normal(size=(1, tiny_model.config.hidden_size)))
 
@@ -272,6 +274,7 @@ class TestPackedForward:
     def test_batch_gradients_match_lone_sum(self, tiny_model, tiny_prompts):
         # prompt gradients of a packed batch equal the sum over lone encodes
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         seqs = [tiny_model.vocab.encode(t) for t in ("the cat sat.", "dogs chase the red ball.")]
         w = Tensor(np.random.default_rng(4).normal(size=(2, tiny_model.config.hidden_size)))
         prefix = prefix_kv(tiny_model, tiny_prompts, "query")
@@ -299,6 +302,7 @@ class TestBackwardRelease:
     def test_loss_on_released_prefix_raises(self, tiny_model, tiny_prompts):
         # two losses sharing one prefix cannot both backpropagate
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         seqs, w = self._batch(tiny_model, np.random.default_rng(8), 3)
         prefix = prefix_kv(tiny_model, tiny_prompts, "query")
         backward(ad.sum_all(ad.mul(pooled(tiny_model, seqs, prefix), w)))
@@ -310,6 +314,7 @@ class TestBackwardRelease:
         # without the release, backward holds every interior gradient and
         # peaks at about half the forward tape above its start
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         seqs, w = self._batch(tiny_model, np.random.default_rng(9))
         tracemalloc.start()
         try:
@@ -329,6 +334,7 @@ class TestBackwardRelease:
         # with the backbone frozen the tape keeps about 2.4 KB per token row
         # here; 4.4 KB when every op result kept its operands and their arrays
         tiny_model.set_trainable(False)
+        tiny_prompts.set_trainable(True)
         seqs, w = self._batch(tiny_model, np.random.default_rng(9))
         tracemalloc.start()
         try:
@@ -441,11 +447,27 @@ class TestRealizePrompts:
         model = make_tiny_model(tiny_vocab, reparam_mode="mlp", mlp_hidden=8)
         model.set_trainable(False)
         ps = make_tiny_prompts(model)
+        ps.set_trainable(True)
         ids = model.vocab.encode("the cat sat.")
         vec = encode_tokens(model, ps, ids)
         backward(ad.sum_all(vec))
         assert ps.groups["shared"]["source"].grad is not None
         assert np.any(ps.groups["shared"]["source"].grad != 0)
+
+
+class TestFrozenUntilTrained:
+    """Prompt sets are created, loaded and copied frozen; training unfreezes them."""
+
+    def test_created_loaded_and_copied_sets_are_frozen(self, tiny_prompts):
+        loaded = promptset_from_json(promptset_to_json(tiny_prompts))
+        for ps in (tiny_prompts, loaded, tiny_prompts.copy()):
+            assert not any(p.requires_grad for p in ps.parameters())
+
+    @pytest.mark.parametrize("given_set", [False, True])
+    def test_unfreeze_makes_them_trainable(self, tiny_model, tiny_prompts, given_set):
+        prompts, params = unfreeze(tiny_model, tiny_prompts if given_set else None, "dpt", seed=0)
+        assert params and all(p.requires_grad for p in params)
+        assert params == prompts.parameters()
 
 
 class TestParamPartition:
@@ -590,6 +612,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match=next(iter(fields))):
             deserialize_model(self.with_config(serialize_model(tiny_model), **fields))
 
+    @pytest.mark.parametrize("field, value, message", [
+        # a model that can encode no text, so a server over it would 500
+        ("max_seq_len", 1, "max_seq_len must be >= 2"),
+        # checked before the head divisibility, which used to divide by it
+        ("num_heads", 0, "num_heads must be positive"),
+    ])
+    def test_config_the_encoder_cannot_run_rejected(self, tiny_model, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            deserialize_model(self.with_config(serialize_model(tiny_model), **{field: value}))
+
     def test_fingerprint_tracks_weights(self, tiny_model):
         fp1 = tiny_model.fingerprint()
         tiny_model.params["tok_emb"].data[0, 0] += 1.0
@@ -618,6 +650,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="divisible"):
             EncoderConfig(num_layers=1, hidden_size=10, num_heads=3,
                           ffn_size=8, vocab_size=len(tiny_vocab), max_seq_len=8)
+
+    @pytest.mark.parametrize("max_seq_len", [0, 1])
+    def test_max_seq_len_fits_cls_and_sep(self, tiny_vocab, max_seq_len):
+        # Vocabulary.encode always emits [CLS] and [SEP]
+        with pytest.raises(ValueError, match="max_seq_len must be >= 2"):
+            EncoderConfig(num_layers=1, hidden_size=8, num_heads=2, ffn_size=8,
+                          vocab_size=len(tiny_vocab), max_seq_len=max_seq_len)
 
     def test_mlp_mode_needs_hidden(self, tiny_vocab):
         with pytest.raises(ValueError, match="mlp_hidden"):

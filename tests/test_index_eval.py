@@ -152,13 +152,13 @@ class TestEncodeCorpus:
         # consecutive passages per forward, added while they fit the budget;
         # only a forward of one passage may exceed it (13 tokens > 12)
         monkeypatch.setattr(vector_index, "ROW_BUDGET", budget)
-        original, packs = vector_index.encode_batch, []
+        original, packs = vector_index.pooled, []
 
-        def counted(model, prefix, seqs):
+        def counted(model, seqs, prefix):
             packs.append([len(ids) for ids in seqs])
-            return original(model, prefix, seqs)
+            return original(model, seqs, prefix)
 
-        monkeypatch.setattr(vector_index, "encode_batch", counted)
+        monkeypatch.setattr(vector_index, "pooled", counted)
         model = make_tiny_model(tiny_vocab)
         corpus = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat"])]
         encode_corpus(corpus, model, None)
@@ -221,12 +221,13 @@ class TestQueries:
         model = make_tiny_model(tiny_vocab)
         prompts = make_tiny_prompts(model)
         index = encode_corpus(CORPUS, model, prompts)
-        original, calls = encoder.prefix_kv, []
+        original, calls = vector_index.prefix_kv, []
 
         def counted(*args):
             calls.append(args[2])
             return original(*args)
 
+        monkeypatch.setattr(vector_index, "prefix_kv", counted)
         monkeypatch.setattr(encoder, "prefix_kv", counted)
         retrieve = DenseRetriever(index, model, prompts)
         assert calls == ["query"]
@@ -235,6 +236,33 @@ class TestQueries:
         assert calls == ["query"]
         run_queries(index, model, prompts, QUERIES, k=3)
         assert calls == ["query", "query"]
+
+    def test_prefixes_carry_no_tape(self, tiny_vocab, monkeypatch):
+        # a fresh prompt set is frozen, so its projected prefixes record nothing
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        original, prefixes = vector_index.pooled, []
+
+        def recorded(model, seqs, prefix):
+            prefixes.append(prefix)
+            return original(model, seqs, prefix)
+
+        monkeypatch.setattr(vector_index, "pooled", recorded)
+        index = encode_corpus(CORPUS, model, prompts)
+        prefixes.append(DenseRetriever(index, model, prompts).prefix)
+        assert len(prefixes) == 2
+        assert all(t._entry is None for prefix in prefixes for pair in prefix for t in pair)
+
+    @pytest.mark.parametrize("separate_roles", [False, True])
+    def test_fresh_set_equals_trainable_copy(self, tiny_vocab, separate_roles):
+        model = make_tiny_model(tiny_vocab)
+        fresh = make_tiny_prompts(model, separate_roles=separate_roles)
+        trainable = fresh.copy()
+        trainable.set_trainable(True)
+        a, b = encode_corpus(CORPUS, model, fresh), encode_corpus(CORPUS, model, trainable)
+        np.testing.assert_array_equal(a.vectors, b.vectors)
+        assert (run_queries(a, model, fresh, QUERIES, k=5)
+                == run_queries(b, model, trainable, QUERIES, k=5))
 
     def test_prefix_is_a_snapshot(self, tiny_vocab):
         model = make_tiny_model(tiny_vocab)

@@ -48,7 +48,7 @@ def per_unit_mlm(batch, model):
     unit_losses = []
     if masked:
         rows = [start + np.asarray(seq.positions) for start, seq in zip(offsets[n:], masked)]
-        logits = mlm_logits(model, states, np.concatenate(rows))
+        logits = mlm_logits(model, ad.embedding_gather(states, np.concatenate(rows)))
         ends = np.cumsum([len(seq.positions) for seq in masked])
         for seq, end in zip(masked, ends):
             unit_logits = ad.embedding_gather(logits, np.arange(end - len(seq.positions), end))

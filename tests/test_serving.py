@@ -141,6 +141,19 @@ class TestRequests:
                                   {"token_ids": token_ids, "prompt_id": ids["shared"]})
         assert status == 400 and body["code"] == "bad_request"
 
+    @pytest.mark.parametrize("case", ["too_long", "negative", "vocab_size"])
+    def test_token_id_codes(self, served, case):
+        srv, model, _, ids = served
+        cfg = model.config
+        token_ids, code = {
+            "too_long": ([CLS_ID] * (cfg.max_seq_len + 1), "sequence_too_long"),
+            "negative": ([CLS_ID, -1, SEP_ID], "unknown_token"),
+            "vocab_size": ([CLS_ID, cfg.vocab_size, SEP_ID], "unknown_token"),
+        }[case]
+        status, body = post_error(srv.base_url + "/encode",
+                                  {"token_ids": token_ids, "prompt_id": ids["shared"]})
+        assert status == 400 and body["code"] == code
+
     @pytest.mark.parametrize("inline", [False, True])
     def test_pinned_prompt_length_enforced_on_both_paths(self, served, inline):
         srv, model, _, ids = served
