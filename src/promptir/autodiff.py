@@ -14,7 +14,9 @@ Each closure keeps only the arrays its backward reads, so a result keeps
 .data only while its caller holds it. An op whose operands need no
 gradient returns a tensor with no entry, and builds no closure. A graph
 backpropagates once: backward frees it as it walks it, and only the
-leaves keep their gradients.
+leaves keep their gradients. With no closure to keep it, a tapeless gelu
+or layer_norm writes its output into the scratch array it built (the
+tanh, the normalized rows), not into a new one; no operand is written.
 """
 
 from __future__ import annotations
@@ -354,9 +356,11 @@ def layer_norm(x, gain, bias, eps=1e-5, residual=None):
     inv_std = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n + eps
     np.divide(1.0, np.sqrt(inv_std, out=inv_std), out=inv_std)
     xhat *= inv_std
-    out_data = xhat * gain.data
+    # untaped, nothing reads xhat again, so it becomes the output
+    tapes = _tapes(*inputs, gain, bias)
+    out_data = xhat * gain.data if tapes else np.multiply(xhat, gain.data, out=xhat)
     out_data += bias.data
-    if (tapes := _tapes(*inputs, gain, bias)) is None:
+    if tapes is None:
         return _node(out_data)
     *ins, eg, eb = tapes
     ins, gv = [e for e in ins if e is not None], gain.data
@@ -393,10 +397,12 @@ def gelu(a):
     t += x
     t *= _GELU_C
     np.tanh(t, out=t)
-    out_data = 1.0 + t
+    # untaped, nothing reads t again, so it becomes the output
+    tapes = _tapes(a)
+    out_data = 1.0 + t if tapes else np.add(t, 1.0, out=t)
     out_data *= x
     out_data *= 0.5
-    if (tapes := _tapes(a)) is None:
+    if tapes is None:
         return _node(out_data)
     (ea,) = tapes
     # t becomes the derivative, the one array backward reads: in row blocks,

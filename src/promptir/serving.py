@@ -219,7 +219,8 @@ class _Handler(BaseHTTPRequestHandler):
         return self.server.service
 
     def log_message(self, fmt, *args):
-        log.debug("%s - %s", self.address_string(), fmt % args)
+        if log.isEnabledFor(logging.DEBUG):  # formatting every reply's line costs
+            log.debug("%s - %s", self.address_string(), fmt % args)
 
     def _send(self, status, body, content_type, headers=()):
         """The one reply writer: status, headers and body of any reply."""

@@ -22,12 +22,23 @@ and the allocator reuses its memory rather than handing it back to the
 OS and faulting it in again for the next. Batch invariance keeps each
 row bitwise a lone encode whatever the budget.
 
+The packs of one call run on the calling thread and one module-level
+worker thread, each taking the next pack and writing its rows; a call
+with one pack, or any call in a process allowed one CPU, runs inline. A
+forward only reads the frozen weights and the tapeless prefix, plain
+arrays (autodiff.Tensor), so threads can share them. One worker, because
+each op's Python work holds the GIL: on 2 cores two threads encode about
+a quarter faster than one. A caller never waits for a worker still busy
+with another caller's packs.
+
 An index lives in memory only. It is rebuilt from what training writes, the
 checkpoint and the prompt set, so it has no file format to trust.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +46,9 @@ import numpy as np
 from .encoder import encode, pooled, prefix_kv
 
 ROW_BUDGET = 256  # token rows per packed forward; see the module docstring
+# the one thread that shares packs with the caller; it starts at its first task
+_WORKER = (ThreadPoolExecutor(max_workers=1, thread_name_prefix="promptir-encode")
+           if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1 else None)
 
 
 @dataclass
@@ -90,14 +104,34 @@ def _encode_packed(model, prefix, seqs):
     """(len(seqs), d) vectors; each packed forward takes consecutive
     sequences while their rows fit ROW_BUDGET, and at least one."""
     vecs = np.empty((len(seqs), model.config.hidden_size))
-    lo = rows = 0
+    todo, lo, rows = [], 0, 0  # (lo, hi) of each pack
     for hi, ids in enumerate(seqs):
         if hi > lo and rows + len(ids) > ROW_BUDGET:
-            vecs[lo:hi] = pooled(model, seqs[lo:hi], prefix).data
+            todo.append((lo, hi))
             lo, rows = hi, 0
         rows += len(ids)
     if lo < len(seqs):
-        vecs[lo:] = pooled(model, seqs[lo:], prefix).data
+        todo.append((lo, len(seqs)))
+    todo.reverse()  # popped from the end, so taken in order
+
+    def drain():  # list.pop is atomic: each pack runs once, on one thread
+        while True:
+            try:
+                start, stop = todo.pop()
+            except IndexError:
+                return
+            vecs[start:stop] = pooled(model, seqs[start:stop], prefix).data
+
+    if _WORKER is None or len(todo) < 2:
+        drain()
+        return vecs
+    helper = _WORKER.submit(drain)
+    try:
+        drain()
+    finally:
+        todo.clear()  # after an error the worker stops at its current pack
+        if not helper.cancel():  # still queued behind another call: not needed
+            helper.result()
     return vecs
 
 

@@ -544,6 +544,25 @@ class TestBitwiseRewrites:
         for got, ref in zip(*grads):
             np.testing.assert_array_equal(got, ref)
 
+    @pytest.mark.parametrize("op, shapes", [
+        (ad.gelu, [(5, 64)]),
+        (ad.layer_norm, [(5, 64), (64,), (64,)]),
+        (lambda x, gain, bias, r: ad.layer_norm(x, gain, bias, residual=r),
+         [(5, 64), (64,), (64,), (5, 64)]),
+    ], ids=["gelu", "layer_norm", "layer_norm_residual"])
+    def test_tapeless_output_in_scratch_equals_taped(self, op, shapes):
+        # with no tape the op writes its output into its own scratch array
+        rng = np.random.default_rng(40)
+        arrays = [rng.normal(size=shape) * 3.0 for shape in shapes]
+        frozen = [Tensor(a.copy()) for a in arrays]
+        out = op(*frozen)
+        taped = op(*[Tensor(a.copy(), requires_grad=True) for a in arrays])
+        assert out._entry is None and taped._entry is not None
+        assert out.data.tobytes() == taped.data.tobytes()
+        for t, a in zip(frozen, arrays):
+            assert t.data.tobytes() == a.tobytes()
+            assert not np.shares_memory(out.data, t.data)
+
     @pytest.mark.parametrize("rows", [1, 2, 7])
     def test_linear_matches_add_of_matmul(self, rows):
         rng = np.random.default_rng(38)

@@ -1,7 +1,12 @@
 """Exact search vs brute force, metric fixtures, and the alignment/
 uniformity diagnostics against double-loop recomputation."""
 
+import itertools
 import math
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -155,16 +160,17 @@ class TestEncodeCorpus:
         original, packs = vector_index.pooled, []
 
         def counted(model, seqs, prefix):
-            packs.append([len(ids) for ids in seqs])
+            packs.append(seqs)
             return original(model, seqs, prefix)
 
         monkeypatch.setattr(vector_index, "pooled", counted)
         model = make_tiny_model(tiny_vocab)
         corpus = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat"])]
         encode_corpus(corpus, model, None)
-        lengths = [len(model.vocab.encode(t, max_len=model.config.max_seq_len))
-                   for _, t in corpus]
-        assert [n for pack in packs for n in pack] == lengths
+        seqs = [model.vocab.encode(t, max_len=model.config.max_seq_len) for _, t in corpus]
+        packs.sort(key=lambda pack: seqs.index(pack[0]))  # two threads may run them
+        assert [ids for pack in packs for ids in pack] == seqs
+        packs = [[len(ids) for ids in pack] for pack in packs]
         for pack, following in zip(packs, packs[1:] + [[budget + 1]]):
             assert sum(pack) <= budget or len(pack) == 1
             assert sum(pack) + following[0] > budget
@@ -198,6 +204,116 @@ class TestEncodeCorpus:
 
 CORPUS = [(f"p{i}", t) for i, t in enumerate(TINY_TEXTS)]
 QUERIES = [(f"q{i}", t) for i, t in enumerate(TINY_TEXTS + ["", "cat", "the cat sat"])]
+
+
+@pytest.fixture(params=["inline", "worker"])
+def worker(request, monkeypatch):
+    """Packs on the calling thread alone, or shared with a worker thread."""
+    executor = ThreadPoolExecutor(max_workers=1) if request.param == "worker" else None
+    monkeypatch.setattr(vector_index, "_WORKER", executor)
+    yield executor
+    if executor is not None:
+        executor.shutdown()
+
+
+def lone_passages(model, prompts, corpus):
+    return [encode(model, prompts, model.vocab.encode(text), role="passage")
+            for _, text in corpus]
+
+
+class TestFanOut:
+    """Packs run on the caller and one worker; every row stays a lone encode."""
+
+    def test_worker_only_with_two_cpus(self):
+        assert (vector_index._WORKER is None) == (len(os.sched_getaffinity(0)) < 2)
+
+    # CORPUS rows are 12, 13, 12, 12, 12, 11, 13 and 13
+    @pytest.mark.parametrize("n, budget, packs", [(0, 256, 0), (8, 256, 1), (8, 50, 2),
+                                                  (8, 3, 8)])
+    def test_rows_equal_lone_encode(self, tiny_vocab, monkeypatch, worker, n, budget, packs):
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", budget)
+        original, calls = vector_index.pooled, []
+
+        def counted(model, seqs, prefix):
+            calls.append(len(seqs))
+            return original(model, seqs, prefix)
+
+        monkeypatch.setattr(vector_index, "pooled", counted)
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        index = encode_corpus(CORPUS[:n], model, prompts)
+        assert len(calls) == packs and index.passage_ids == [pid for pid, _ in CORPUS[:n]]
+        for row, lone in enumerate(lone_passages(model, prompts, CORPUS[:n])):
+            assert index.vectors[row].tobytes() == lone.tobytes()
+        calls.clear()  # the passages as queries: the same packs
+        results = run_queries(index, model, prompts, CORPUS[:n], k=5)
+        assert len(calls) == packs and len(results) == n
+        for r, (qid, text) in zip(results, CORPUS[:n]):
+            lone = encode(model, prompts, model.vocab.encode(text), role="query")
+            assert r.query_id == qid and r.ranking == search(index, lone, 5)
+
+    def test_error_in_a_later_pack_reaches_the_caller(self, tiny_vocab, monkeypatch,
+                                                      worker):
+        # inline the second pack fails; with the worker, the worker's first
+        # pack fails, and the caller waits for that before its own first pack
+        class PackError(Exception):
+            pass
+
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", 3)  # one passage per pack
+        original, calls, failed = vector_index.pooled, itertools.count(1), threading.Event()
+        caller = threading.current_thread()
+
+        def failing(model, seqs, prefix):
+            fails = threading.current_thread() is not caller if worker else next(calls) == 2
+            if fails:
+                failed.set()
+                raise PackError("a later pack")
+            if worker:
+                failed.wait(timeout=10)
+            return original(model, seqs, prefix)
+
+        monkeypatch.setattr(vector_index, "pooled", failing)
+        model = make_tiny_model(tiny_vocab)
+        with pytest.raises(PackError, match="a later pack"):
+            encode_corpus(CORPUS, model, None)
+        assert failed.is_set()
+        monkeypatch.setattr(vector_index, "pooled", original)
+        index = encode_corpus(CORPUS, model, None)  # the worker still serves
+        for row, lone in enumerate(lone_passages(model, None, CORPUS)):
+            assert index.vectors[row].tobytes() == lone.tobytes()
+
+    def test_concurrent_callers_share_the_worker(self, tiny_vocab, monkeypatch):
+        executor = ThreadPoolExecutor(max_workers=1)
+        monkeypatch.setattr(vector_index, "_WORKER", executor)
+        monkeypatch.setattr(vector_index, "ROW_BUDGET", 30)  # two or three per pack
+        model = make_tiny_model(tiny_vocab)
+        prompts = make_tiny_prompts(model)
+        want = dict(zip([pid for pid, _ in CORPUS], lone_passages(model, prompts, CORPUS)))
+        corpora = [CORPUS[i:] + CORPUS[:i] for i in range(4)]  # more callers than cores
+        got = [[] for _ in corpora]
+
+        def call(i):
+            for _ in range(5):
+                got[i].append(encode_corpus(corpora[i], model, prompts))
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(corpora))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            executor.shutdown()
+        assert not any(t.is_alive() for t in threads)
+        for corpus, indexes in zip(corpora, got):
+            assert len(indexes) == 5
+            for index in indexes:
+                assert index.passage_ids == [pid for pid, _ in corpus]
+                for row, pid in enumerate(index.passage_ids):
+                    assert index.vectors[row].tobytes() == want[pid].tobytes()
 
 
 class TestQueries:

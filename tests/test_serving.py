@@ -6,6 +6,7 @@ to float32 rounding for JSON f32 and application/octet-stream replies.
 
 import http.client
 import json
+import logging
 import socket
 import threading
 import time
@@ -283,6 +284,24 @@ class TestDelete:
 
 
 class TestTransport:
+    def test_access_line_logged_only_at_debug(self, served, monkeypatch, caplog):
+        srv, _, _, _ = served
+        formatted = []
+        original = serving._Handler.address_string
+
+        def counted(handler):
+            formatted.append(1)
+            return original(handler)
+
+        monkeypatch.setattr(serving._Handler, "address_string", counted)
+        with caplog.at_level(logging.INFO, logger="promptir.serving"):
+            get_json(srv.base_url + "/health")
+        assert not formatted  # below DEBUG the line is never formatted
+        with caplog.at_level(logging.DEBUG, logger="promptir.serving"):
+            get_json(srv.base_url + "/health")
+        assert formatted
+        assert any('"GET /health HTTP/1.1" 200' in r.getMessage() for r in caplog.records)
+
     def test_keep_alive_replies_do_not_stall(self, served):
         srv, model, _, ids = served
         d = model.config.hidden_size
